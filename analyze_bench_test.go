@@ -1,22 +1,12 @@
-// Benchmarks for the trace analyzer: sequential, sharded (-parallel-analyze),
-// and streaming, all over the suite's largest preparation trace. Run with
+// Benchmarks for the trace analyzer, over the suite's largest preparation
+// trace, and for the recorder's hot path. Run with
 //
-//	go test -bench Analyze -benchtime 1x .
-//
-// The speedup benchmark reports the measured sequential/parallel wall-clock
-// ratio as a metric rather than asserting it: on a single-core host
-// (GOMAXPROCS=1) the sharded analyzer cannot beat the sequential one — the
-// shard/merge structure is pure overhead without parallel execution — so the
-// ratio is only meaningful alongside the reported gomaxprocs value.
+//	go test -bench 'Analyze|Recorder' -benchmem -benchtime 1x .
 package waffle_test
 
 import (
-	"bytes"
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"waffle/internal/apps"
 	"waffle/internal/core"
@@ -24,6 +14,24 @@ import (
 	"waffle/internal/trace"
 	"waffle/internal/vclock"
 )
+
+// prepTraceOf performs one preparation run of a test and returns its trace.
+func prepTraceOf(tb testing.TB, test *apps.Test, seed int64) *trace.Trace {
+	tb.Helper()
+	wf := core.NewWaffle(core.Options{})
+	wf.SetLabel(test.Name)
+	hook := wf.HookForRun(1, nil)
+	res := test.Prog.Execute(seed, hook)
+	if res.Err != nil {
+		tb.Fatalf("%s: preparation run: %v", test.Name, res.Err)
+	}
+	wf.FinishPreparation(&core.RunReport{Run: 1, End: res.End})
+	tr := wf.PrepTrace()
+	if tr == nil {
+		tb.Fatalf("%s: no preparation trace", test.Name)
+	}
+	return tr
+}
 
 // bigTrace caches the largest preparation trace in the benchmark suite
 // (currently NpgSQL/test-018, ~1.3k events); the scan over every test runs
@@ -71,59 +79,6 @@ func BenchmarkAnalyzeSequential(b *testing.B) {
 	reportEventRate(b, len(tr.Events))
 }
 
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	tr := largestPrepTrace(b)
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.AnalyzeParallel(tr, core.Options{}, workers)
-			}
-			reportEventRate(b, len(tr.Events))
-		})
-	}
-}
-
-func BenchmarkAnalyzeStream(b *testing.B) {
-	tr := largestPrepTrace(b)
-	var buf bytes.Buffer
-	if err := tr.WriteStream(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.AnalyzeStream(bytes.NewReader(data), core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportEventRate(b, len(tr.Events))
-}
-
-// BenchmarkAnalyzeSpeedupAt4Workers times the sequential and the 4-worker
-// sharded analyzer back to back on the same trace and reports their ratio.
-// Read speedup-x together with gomaxprocs: ≥2 is the target on a 4-core
-// host, while gomaxprocs=1 pins the ratio below 1 by construction.
-func BenchmarkAnalyzeSpeedupAt4Workers(b *testing.B) {
-	tr := largestPrepTrace(b)
-	var seq, par time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		core.Analyze(tr, core.Options{})
-		seq += time.Since(t0)
-		t1 := time.Now()
-		core.AnalyzeParallel(tr, core.Options{}, 4)
-		par += time.Since(t1)
-	}
-	if par > 0 {
-		b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup-x")
-	}
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
 // BenchmarkRecorderRecord measures the recording hot path: RecordEvent
 // into per-thread chunked shards. allocs/op must report 0 — only one chunk
 // allocation per shardChunkEvents appends, which rounds away — and
@@ -146,54 +101,4 @@ func BenchmarkRecorderRecord(b *testing.B) {
 		rec.RecordEvent(ev)
 	}
 	reportEventRate(b, 1)
-}
-
-// rerecordedTrace simulates the next campaign's preparation run over an
-// unchanged program: identical event content in a fresh slice, clock
-// pointers shared — exactly what re-recording a deterministic run yields.
-func rerecordedTrace(tr *trace.Trace) *trace.Trace {
-	return &trace.Trace{
-		Label:  tr.Label,
-		Seed:   tr.Seed,
-		End:    tr.End,
-		Events: append([]trace.Event(nil), tr.Events...),
-	}
-}
-
-// BenchmarkAnalyzeIncrementalClean measures re-analysis of an unchanged
-// trace — the repeated-campaign fast path where every object folds from
-// the cache and every instance replays its recorded edges.
-func BenchmarkAnalyzeIncrementalClean(b *testing.B) {
-	tr := largestPrepTrace(b)
-	tr2 := rerecordedTrace(tr)
-	prev := core.AnalyzeIncremental(nil, nil, tr, core.Options{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.AnalyzeIncremental(prev, tr, tr2, core.Options{})
-	}
-	reportEventRate(b, len(tr2.Events))
-}
-
-// BenchmarkAnalyzeIncrementalSpeedup times a from-scratch Analyze and a
-// clean incremental re-analysis back to back on the same trace and reports
-// their ratio — the repeated-campaign win published to BENCH_analyze.json
-// (target: ≥3× on the largest built-in trace).
-func BenchmarkAnalyzeIncrementalSpeedup(b *testing.B) {
-	tr := largestPrepTrace(b)
-	tr2 := rerecordedTrace(tr)
-	prev := core.AnalyzeIncremental(nil, nil, tr, core.Options{})
-	var full, inc time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		core.Analyze(tr2, core.Options{})
-		full += time.Since(t0)
-		t1 := time.Now()
-		core.AnalyzeIncremental(prev, tr, tr2, core.Options{})
-		inc += time.Since(t1)
-	}
-	if inc > 0 {
-		b.ReportMetric(full.Seconds()/inc.Seconds(), "speedup-x")
-	}
 }

@@ -39,7 +39,6 @@ func main() {
 		maxRuns  = flag.Int("max-runs", 50, "search bound for bug exposure")
 		seed     = flag.Int64("seed", 1, "base seed")
 		parallel = flag.Int("parallel", 0, "worker goroutines for independent sessions (0 = GOMAXPROCS; numbers unchanged)")
-		panalyze = flag.Int("parallel-analyze", 0, "worker goroutines for each trace analysis (plans bit-identical to sequential)")
 		appName  = flag.String("app", "", "restrict suite tables to one app")
 		sweep    = flag.String("sweep", "", "sensitivity sweep: window | alpha")
 		compare  = flag.Bool("compare", false, "empirical tool comparison across Table 1's design points")
@@ -128,7 +127,7 @@ func main() {
 			if a.Name == "LiteDB" {
 				continue // excluded from Tables 2/5/6 (§6.4)
 			}
-			rows = append(rows, eval.EvalSuite(a, eval.SuiteOptions{Seed: *seed, MaxTests: *maxTests, Parallelism: *parallel, AnalyzeWorkers: *panalyze, Metrics: reg}))
+			rows = append(rows, eval.EvalSuite(a, eval.SuiteOptions{Seed: *seed, MaxTests: *maxTests, Parallelism: *parallel, Metrics: reg}))
 		}
 		return rows
 	}
@@ -261,10 +260,6 @@ func runGen(opt eval.DiffOptions, out string) error {
 	}
 	render(t)
 	fmt.Printf("reproducible: %v; violations: %d\n", rep.ReproOK, len(rep.Violations))
-	if ra := rep.Reanalysis; ra != nil {
-		fmt.Printf("re-analysis: full %.2fms, incremental %.2fms (%.2fx)\n",
-			float64(ra.FullNS)/1e6, float64(ra.IncrementalNS)/1e6, ra.Speedup)
-	}
 	for _, v := range rep.Violations {
 		fmt.Printf("  VIOLATION: %s\n", v)
 	}

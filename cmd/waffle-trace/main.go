@@ -6,10 +6,8 @@
 //	waffle-trace -stats prep.trace          # event/site/thread statistics
 //	waffle-trace -dump prep.trace | head    # event-per-line listing
 //	waffle-trace -analyze prep.trace        # run the trace analyzer, print S and I
-//	waffle-trace -analyze prep.trace -parallel-analyze 4   # sharded, same plan
 //	waffle-trace -json prep.trace > t.json  # binary → JSON conversion
 //	waffle-trace -to-stream prep.trace > prep.wfts         # WFTR → WFTS stream
-//	waffle-trace -analyze-stream prep.wfts  # streaming analyzer, bounded memory
 package main
 
 import (
@@ -33,9 +31,7 @@ func main() {
 		width       = flag.Int("width", 100, "timeline width in columns")
 		jsonPath    = flag.String("json", "", "convert a binary trace to JSON on stdout")
 		window      = flag.Int("window-ms", 100, "near-miss window δ for -analyze")
-		panalyze    = flag.Int("parallel-analyze", 0, "worker goroutines for -analyze (plan bit-identical to sequential)")
 		streamOut   = flag.String("to-stream", "", "convert a binary trace to a WFTS event stream on stdout")
-		streamPath  = flag.String("analyze-stream", "", "run the streaming analyzer on a WFTS stream file")
 	)
 	flag.Parse()
 
@@ -58,22 +54,7 @@ func main() {
 		fmt.Print(report.Timeline(tr, *width))
 	case *analyzePath != "":
 		tr := load(*analyzePath)
-		plan := core.Analyze(tr, core.Options{
-			Window:         sim.Duration(*window) * sim.Millisecond,
-			AnalyzeWorkers: *panalyze,
-		})
-		printPlan(plan)
-	case *streamPath != "":
-		f, err := os.Open(*streamPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		plan, err := core.AnalyzeStream(f, core.Options{Window: sim.Duration(*window) * sim.Millisecond})
-		if err != nil {
-			fatal(err)
-		}
-		printPlan(plan)
+		printPlan(core.Analyze(tr, core.Options{Window: sim.Duration(*window) * sim.Millisecond}))
 	case *streamOut != "":
 		tr := load(*streamOut)
 		if err := tr.WriteStream(os.Stdout); err != nil {

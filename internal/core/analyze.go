@@ -13,20 +13,32 @@ import (
 // unperturbed preparation-run trace it constructs the candidate set S
 // (near-miss pairs surviving parent-child pruning), the per-site delay
 // lengths, and the interference set I.
-//
-// With Options.AnalyzeWorkers > 1 the analysis is sharded across a worker
-// pool (see AnalyzeParallel); the result is bit-identical to the
-// sequential analyzer either way.
 func Analyze(tr *trace.Trace, opts Options) *Plan {
 	opts = opts.WithDefaults()
 	defer opts.Metrics.Span("phase.analyze").Time()()
 	opts.Metrics.Counter("analyze.trace_events").Add(int64(len(tr.Events)))
-	var plan *Plan
-	if opts.AnalyzeWorkers > 1 {
-		plan = AnalyzeParallel(tr, opts, opts.AnalyzeWorkers)
-	} else {
-		plan = analyzeSequential(tr, opts)
+
+	// Pass 1: near-miss candidate pairs per object (§3.1, §4.1).
+	acc := pairAccum{
+		opts:   opts,
+		pairs:  make(map[pairKey]*Pair),
+		pruned: opts.Metrics.Counter("analyze.pairs_pruned"),
 	}
+	for _, idxs := range tr.ByObject() {
+		acc.scanObject(tr.Events, idxs)
+	}
+	plan := assemblePlan(tr.Label, opts, acc.pairs)
+
+	// Pass 3: the interference set I (§4.4).
+	byThread := make(map[int][]int)
+	for i, e := range tr.Events {
+		byThread[e.TID] = append(byThread[e.TID], i)
+	}
+	es := make(edgeSet)
+	for _, inst := range acc.instances {
+		instanceEdges(tr, byThread, plan.Probs, inst, opts.Window, es)
+	}
+	es.fill(plan)
 	meterPlan(opts.Metrics, plan)
 	return plan
 }
@@ -49,11 +61,11 @@ func meterPlan(r *obs.Registry, plan *Plan) {
 	r.Counter("analyze.interference_edges").Add(edges)
 }
 
-// instance is one dynamic occurrence of a candidate pair: the pair it
-// instantiates plus the Seq positions of its two events. Instances drive
-// pass 3, which inspects the trace around each occurrence.
+// instance is one dynamic occurrence of a candidate pair: its delay site
+// plus the Seq positions of its two events. Instances drive pass 3, which
+// inspects the trace around each occurrence.
 type instance struct {
-	key    pairKey
+	delay  trace.SiteID
 	e1, e2 int // event indexes into the trace
 }
 
@@ -62,16 +74,10 @@ type instance struct {
 // initialization is a use-before-init candidate, a disposal within δ after
 // another thread's use is a use-after-free candidate, and pairs ordered by
 // fork-propagated vector clocks are pruned unless the parent-child
-// ablation is active.
-func nearMiss(e1, e2 *trace.Event, opts Options) (BugKind, bool) {
-	return nearMissCounted(e1, e2, opts, nil)
-}
-
-// nearMissCounted is nearMiss with an optional counter for dynamic
-// near-miss instances rejected by the fork-clock pruning rule — pairs that
-// would have entered S without §4.1's parent-child analysis. The counter
-// only observes; a nil counter restores plain nearMiss.
-func nearMissCounted(e1, e2 *trace.Event, opts Options, pruned *obs.Counter) (BugKind, bool) {
+// ablation is active. pruned counts dynamic near-miss instances the
+// fork-clock rule rejected — pairs that would have entered S without
+// §4.1's parent-child analysis; it only observes, and may be nil.
+func nearMiss(e1, e2 *trace.Event, opts Options, pruned *obs.Counter) (BugKind, bool) {
 	var kind BugKind
 	staleOnly := false // pair shape exists only as a TSO stale-read candidate
 	switch {
@@ -117,34 +123,20 @@ func nearMissCounted(e1, e2 *trace.Event, opts Options, pruned *obs.Counter) (Bu
 	return kind, true
 }
 
-// pairAccum accumulates pass-1 output: the candidate pairs (keyed for
-// merging across shards) and the dynamic instances feeding pass 3. The
-// sequential, sharded, and streaming analyzers all funnel through it so
-// their candidate sets are identical.
+// pairAccum accumulates pass-1 output: the candidate pairs and the dynamic
+// instances feeding pass 3.
 type pairAccum struct {
 	opts  Options
 	pairs map[pairKey]*Pair
 	// pruned counts near-miss instances rejected by fork-clock ordering
 	// (analyze.pairs_pruned); nil without a registry.
-	pruned *obs.Counter
-	// noInstances drops instance bookkeeping — the streaming analyzer's
-	// first pass only needs the pairs and re-derives instances on its
-	// second pass, so buffering every occurrence would defeat the point.
-	noInstances bool
-	instances   []instance
-}
-
-func newPairAccum(opts Options) *pairAccum {
-	return &pairAccum{
-		opts:   opts,
-		pairs:  make(map[pairKey]*Pair),
-		pruned: opts.Metrics.Counter("analyze.pairs_pruned"),
-	}
+	pruned    *obs.Counter
+	instances []instance
 }
 
 // observe feeds one ordered event pair through the near-miss rules.
 func (pa *pairAccum) observe(e1, e2 *trace.Event) {
-	kind, ok := nearMissCounted(e1, e2, pa.opts, pa.pruned)
+	kind, ok := nearMiss(e1, e2, pa.opts, pa.pruned)
 	if !ok {
 		return
 	}
@@ -158,9 +150,7 @@ func (pa *pairAccum) observe(e1, e2 *trace.Event) {
 	if gap := e2.T.Sub(e1.T); gap > p.Gap {
 		p.Gap = gap
 	}
-	if !pa.noInstances {
-		pa.instances = append(pa.instances, instance{key: k, e1: e1.Seq, e2: e2.Seq})
-	}
+	pa.instances = append(pa.instances, instance{delay: e1.Site, e1: e1.Seq, e2: e2.Seq})
 }
 
 // scanObject runs pass 1 over one object's event-index list. The list must
@@ -183,30 +173,8 @@ func (pa *pairAccum) scanObject(events []trace.Event, idxs []int) {
 	}
 }
 
-// mergeFrom folds another shard's accumulator in: counts sum, gaps
-// max-merge, instances concatenate. (Plan.MergeFrom cannot serve here —
-// it unions pairs keeping the first copy, the right semantics for
-// detection-run clones that share one plan but wrong for shards that each
-// saw a disjoint slice of the same pair's occurrences.)
-func (pa *pairAccum) mergeFrom(o *pairAccum) {
-	for k, op := range o.pairs {
-		p, ok := pa.pairs[k]
-		if !ok {
-			cp := *op
-			pa.pairs[k] = &cp
-			continue
-		}
-		p.Count += op.Count
-		if op.Gap > p.Gap {
-			p.Gap = op.Gap
-		}
-	}
-	pa.instances = append(pa.instances, o.instances...)
-}
-
-// assemblePlan builds the plan skeleton shared by every analyzer variant:
-// the sorted candidate set S, then pass 2's per-site delay lengths and
-// initial injection probabilities.
+// assemblePlan builds the plan skeleton: the sorted candidate set S, then
+// pass 2's per-site delay lengths and initial injection probabilities.
 func assemblePlan(label string, opts Options, pairs map[pairKey]*Pair) *Plan {
 	plan := &Plan{
 		Label:     label,
@@ -245,24 +213,6 @@ func assemblePlan(label string, opts Options, pairs map[pairKey]*Pair) *Plan {
 	return plan
 }
 
-// injectionSet returns the plan's delay sites as a membership set.
-func injectionSet(plan *Plan) map[trace.SiteID]bool {
-	injection := make(map[trace.SiteID]bool, len(plan.Probs))
-	for s := range plan.Probs {
-		injection[s] = true
-	}
-	return injection
-}
-
-// buildByThread groups event indexes by thread, preserving trace order.
-func buildByThread(tr *trace.Trace) map[int][]int {
-	byThread := make(map[int][]int)
-	for i, e := range tr.Events {
-		byThread[e.TID] = append(byThread[e.TID], i)
-	}
-	return byThread
-}
-
 // edgeSet accumulates the symmetric interference relation I.
 type edgeSet map[trace.SiteID]map[trace.SiteID]bool
 
@@ -290,14 +240,14 @@ func (es edgeSet) fill(plan *Plan) {
 }
 
 // instanceEdges runs pass 3 (§4.4) for one dynamic candidate instance
-// (ℓ1 at τ1, ℓ2 at τ2): any injection site ℓ* exercised by ℓ2's thread in
-// [τ1−δ, τ2] would, if delayed, block that thread and cancel a delay at
-// ℓ1 — record (ℓ1, ℓ*) symmetrically. ℓ* == ℓ1 is excluded: another
-// thread reaching the same site is the concurrency being provoked, not a
-// cancellation, and a self-edge would make interferenceLive forbid
-// concurrent delays at one site across threads — a restriction the
-// paper's Fig. 5 window does not call for.
-func instanceEdges(tr *trace.Trace, byThread map[int][]int, injection map[trace.SiteID]bool, inst instance, window sim.Duration, add func(a, b trace.SiteID)) {
+// (ℓ1 at τ1, ℓ2 at τ2): any injection site ℓ* (a key of injection)
+// exercised by ℓ2's thread in [τ1−δ, τ2] would, if delayed, block that
+// thread and cancel a delay at ℓ1 — record (ℓ1, ℓ*) symmetrically.
+// ℓ* == ℓ1 is excluded: another thread reaching the same site is the
+// concurrency being provoked, not a cancellation, and a self-edge would
+// make interferenceLive forbid concurrent delays at one site across
+// threads — a restriction the paper's Fig. 5 window does not call for.
+func instanceEdges(tr *trace.Trace, byThread map[int][]int, injection map[trace.SiteID]float64, inst instance, window sim.Duration, es edgeSet) {
 	e1, e2 := &tr.Events[inst.e1], &tr.Events[inst.e2]
 	lo := e1.T.Add(-window)
 	tidEvents := byThread[e2.TID]
@@ -306,33 +256,12 @@ func instanceEdges(tr *trace.Trace, byThread map[int][]int, injection map[trace.
 		return tr.Events[tidEvents[i]].T >= lo
 	})
 	for _, ei := range tidEvents[start:] {
-		es := &tr.Events[ei]
-		if es.Seq >= e2.Seq {
+		e := &tr.Events[ei]
+		if e.Seq >= e2.Seq {
 			break
 		}
-		if es.Site != inst.key.delay && injection[es.Site] {
-			add(inst.key.delay, es.Site)
+		if _, ok := injection[e.Site]; ok && e.Site != inst.delay {
+			es.add(inst.delay, e.Site)
 		}
 	}
-}
-
-// analyzeSequential is the single-threaded analyzer all sharded variants
-// are checked against.
-func analyzeSequential(tr *trace.Trace, opts Options) *Plan {
-	// Pass 1: near-miss candidate pairs per object (§3.1, §4.1).
-	acc := newPairAccum(opts)
-	for _, idxs := range tr.ByObject() {
-		acc.scanObject(tr.Events, idxs)
-	}
-	plan := assemblePlan(tr.Label, opts, acc.pairs)
-
-	// Pass 3: the interference set I (§4.4).
-	injection := injectionSet(plan)
-	byThread := buildByThread(tr)
-	es := make(edgeSet)
-	for _, inst := range acc.instances {
-		instanceEdges(tr, byThread, injection, inst, opts.Window, es.add)
-	}
-	es.fill(plan)
-	return plan
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"sort"
 	"testing"
+	"time"
 
 	"waffle/internal/sim"
 	"waffle/internal/trace"
@@ -237,6 +239,90 @@ func TestAnalyzeZeroGapPairIsCandidate(t *testing.T) {
 	}
 	if plan.Probs["ctor"] != 1.0 {
 		t.Fatalf("probs = %v, want ctor at 1.0", plan.Probs)
+	}
+}
+
+// planBytes renders a plan to its canonical JSON encoding, the byte-level
+// identity analysis results are compared at.
+func planBytes(t *testing.T, plan *Plan) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := plan.WriteJSON(&buf); err != nil {
+		t.Fatalf("encode plan: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// Pass 1's inner loop breaks as soon as a partner is a full window ahead —
+// which is only sound because ByObject lists inherit the trace's time
+// order. This test documents the dependency: on an out-of-order trace the
+// early break silently drops a genuine near miss, and TimeSorted is the
+// guard callers of externally loaded traces must use.
+func TestAnalyzeEarlyBreakRequiresTimeSortedTrace(t *testing.T) {
+	unsorted := mkTrace(
+		ev(0, 0, 1, "ctor", 1, trace.KindInit),
+		ev(1, 200, 2, "far", 1, trace.KindUse), // a full window ahead: breaks the scan
+		ev(2, 50, 2, "use", 1, trace.KindUse),  // in-window partner hidden behind it
+	)
+	if unsorted.TimeSorted() {
+		t.Fatal("trace unexpectedly time-sorted")
+	}
+	if plan := Analyze(unsorted, Options{}); len(plan.Pairs) != 0 {
+		t.Fatalf("unsorted trace produced %d pairs; the early break was expected to drop them", len(plan.Pairs))
+	}
+
+	sorted := mkTrace(unsorted.Events...)
+	sort.Slice(sorted.Events, func(i, j int) bool { return sorted.Events[i].T < sorted.Events[j].T })
+	for i := range sorted.Events {
+		sorted.Events[i].Seq = i
+	}
+	if !sorted.TimeSorted() {
+		t.Fatal("sorted trace not time-sorted")
+	}
+	plan := Analyze(sorted, Options{})
+	if len(plan.Pairs) != 1 || plan.Pairs[0].Delay != "ctor" || plan.Pairs[0].Target != "use" {
+		t.Fatalf("sorted trace pairs = %+v, want the recovered ctor→use near miss", plan.Pairs)
+	}
+}
+
+// shiftTrace returns a copy of tr with every timestamp offset by base —
+// turning virtual-scale ticks into the absolute wall-clock-nanosecond
+// magnitudes a live runtime could stamp.
+func shiftTrace(tr *trace.Trace, base sim.Time) *trace.Trace {
+	out := &trace.Trace{Label: tr.Label, Seed: tr.Seed, End: tr.End + base}
+	out.Events = append([]trace.Event(nil), tr.Events...)
+	for i := range out.Events {
+		out.Events[i].T += base
+	}
+	return out
+}
+
+// The analyzer consumes only time differences, so a trace shifted to
+// wall-clock magnitude must produce the byte-identical plan — in memory
+// and after a WFTS stream round trip. This pins the live-mode contract:
+// nothing in analysis or the codecs truncates, wraps, or rescales large
+// int64 timestamps.
+func TestAnalyzeWallClockMagnitudeTimestamps(t *testing.T) {
+	base := sim.Time(time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC).UnixNano())
+	for seed := int64(1); seed <= 5; seed++ {
+		tr := genTrace(seed, 100)
+		want := planBytes(t, Analyze(tr, Options{}))
+
+		shifted := shiftTrace(tr, base)
+		if got := planBytes(t, Analyze(shifted, Options{})); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: wall-clock shift changed the plan:\n%s\nvs\n%s", seed, got, want)
+		}
+		var buf bytes.Buffer
+		if err := shifted.WriteStream(&buf); err != nil {
+			t.Fatalf("seed %d: write stream: %v", seed, err)
+		}
+		back, err := trace.ReadStream(&buf)
+		if err != nil {
+			t.Fatalf("seed %d: read stream: %v", seed, err)
+		}
+		if got := planBytes(t, Analyze(back, Options{})); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: analysis after a WFTS round trip diverged:\n%s\nvs\n%s", seed, got, want)
+		}
 	}
 }
 

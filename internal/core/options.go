@@ -70,12 +70,6 @@ type Options struct {
 	// issuing thread. Off by default; every SC code path is untouched.
 	TSO bool
 
-	// AnalyzeWorkers shards trace analysis across this many workers (the
-	// per-object pass-1 shards and per-instance pass-3 shards of
-	// AnalyzeParallel). Zero or one means sequential analysis; the sharded
-	// result is bit-identical either way.
-	AnalyzeWorkers int
-
 	// Metrics receives campaign observability counters (delays injected and
 	// skipped, decay floors, pairs pruned, phase spans). Nil disables all
 	// instrumentation at effectively zero cost: hooks hold nil handles whose
@@ -144,9 +138,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.MaxDetectionRuns <= 0 {
 		o.MaxDetectionRuns = DefaultMaxRuns
-	}
-	if o.AnalyzeWorkers < 0 {
-		o.AnalyzeWorkers = 0
 	}
 	return o
 }

@@ -78,66 +78,19 @@ func (s *Session) ExposeParallelCtx(ctx context.Context, workers int) *Outcome {
 	if !ok || pd.PrepRunCount() < 0 || workers <= 1 {
 		return s.ExposeCtx(ctx)
 	}
-	maxRuns := s.MaxRuns
-	if maxRuns <= 0 {
-		maxRuns = DefaultMaxRuns
-	}
-
-	out := &Outcome{Program: s.Prog.Name(), Tool: s.Tool.Name()}
-	defer s.trackRate(out)()
-	out.BaseTime = s.Baseline()
-
+	st := s.begin()
+	defer st.end()
 	// Preparation runs are inherently sequential: the plan does not exist
-	// until they finish.
-	var prev *RunReport
-	firstDetection := 1 + pd.PrepRunCount()
-	stopSpan := func() {}
-	if firstDetection > 1 {
-		stopSpan = s.Metrics.Span("phase.prepare").Time()
-	}
-	defer func() { stopSpan() }()
-	curMax := maxRuns
-	for run := 1; run < firstDetection && run <= curMax; run++ {
-		if ctx.Err() != nil {
-			return out
-		}
-		if s.Tuner != nil {
-			var stop bool
-			curMax, stop = s.tuneBoundary(out, run, curMax, prev, false)
-			if stop {
-				return out
-			}
-		}
-		seed := s.BaseSeed + int64(run) - 1
-		hook := s.Tool.HookForRun(run, prev)
-		res := s.execute(ctx, seed, hook)
-		rep, faulted := s.appendRun(out, run, seed, res, s.Tool.RunStats())
-		prev = rep
-		if faulted {
-			return out
-		}
-	}
-	if ctx.Err() != nil {
-		return out
-	}
-	// Boundary before the first detection run: the last chance to retune
+	// until they finish. The sequential search runs them, then hands over
+	// at the first detection run's boundary — the last chance to retune
 	// (or stop) before workers start speculating.
-	if s.Tuner != nil {
-		var stop bool
-		curMax, stop = s.tuneBoundary(out, firstDetection, curMax, prev, false)
-		if stop {
-			return out
-		}
+	if !s.runs(ctx, st, st.firstDetection) {
+		return st.out
 	}
-	if firstDetection > curMax {
-		return out
-	}
-	stopSpan()
-	stopSpan = s.Metrics.Span("phase.detect").Time()
 
 	// The shared plan. Mutated only inside commit (single-threaded,
 	// between waves); workers read it only through Clone at job start.
-	plan := pd.DetectionPlan(prev)
+	plan := pd.DetectionPlan(st.prev)
 
 	job := func(ctx context.Context, run int) (specRun, error) {
 		snap := plan.Clone()
@@ -149,7 +102,7 @@ func (s *Session) ExposeParallelCtx(ctx context.Context, workers int) *Outcome {
 	respec := s.Metrics.Counter("parallel.respeculations")
 	commit := func(r sched.Result[specRun]) bool {
 		run := r.Index
-		if run > curMax {
+		if run > st.maxRuns {
 			// The budget shrank below this index at an earlier boundary;
 			// results are committed in order, so every later run is out of
 			// budget too — stop the engine.
@@ -166,25 +119,20 @@ func (s *Session) ExposeParallelCtx(ctx context.Context, workers int) *Outcome {
 			v = s.authoritativeRun(pd, plan, seed)
 		}
 		plan.MergeFrom(v.plan)
-		rep, faulted := s.appendRun(out, run, seed, v.res, v.stats)
+		rep, faulted := FoldRun(st.out, RunReport{Run: run, Seed: seed, Stats: v.stats}, v.res, s.Tool.Candidates, s.Metrics)
 		if faulted {
 			return false
 		}
-		if s.Tuner != nil {
-			// Boundary before run+1. Commits run single-threaded after the
-			// wave's WaitGroup, so a retune applied here cannot race a
-			// worker; it takes effect for the next wave's injectors.
-			var stop bool
-			curMax, stop = s.tuneBoundary(out, run+1, curMax, rep, true)
-			if stop {
-				return false
-			}
-		}
-		return true
+		// Boundary before run+1. Commits run single-threaded after the
+		// wave's WaitGroup, so a retune applied here cannot race a worker;
+		// it takes effect for the next wave's injectors.
+		var stop bool
+		st.maxRuns, stop = TuneBoundary(s.Tuner, s.Tool, st.out, run+1, st.maxRuns, rep, true)
+		return !stop
 	}
 
-	sched.RunCtx(ctx, sched.Pool{Workers: workers, Budget: s.RunBudget, Metrics: s.Metrics, Tune: s.PoolTune}, firstDetection, curMax, job, commit)
-	return out
+	sched.RunCtx(ctx, sched.Pool{Workers: workers, Budget: s.RunBudget, Metrics: s.Metrics}, st.firstDetection, st.maxRuns, job, commit)
+	return st.out
 }
 
 // authoritativeRun performs one detection run synchronously against a

@@ -82,12 +82,6 @@ type Plan struct {
 	// Probs carries each injection site's current injection probability,
 	// decayed across detection runs and persisted between them (§5).
 	Probs map[trace.SiteID]float64
-
-	// inc is AnalyzeIncremental's per-object analysis cache. It is
-	// immutable once built, shared (not copied) by Clone, and deliberately
-	// absent from the JSON wire form: a plan loaded from disk simply
-	// re-analyzes from scratch on its first incremental call.
-	inc *incState
 }
 
 // InjectionSites returns the distinct delay sites of the plan, sorted.
@@ -104,8 +98,29 @@ func (p *Plan) InjectionSites() []trace.SiteID {
 	return out
 }
 
-// PairsAt returns the candidate pairs whose delay or target site is site.
+// LiveSites returns the number of injection sites whose probability is
+// still positive, or -1 for a nil plan (no plan yet). Zero means the plan
+// has fully decayed: no run injecting from it can delay, hence (§5) none
+// can expose — the scale-to-zero signal of core.SiteProber.
+func (p *Plan) LiveSites() int {
+	if p == nil {
+		return -1
+	}
+	n := 0
+	for _, prob := range p.Probs {
+		if prob > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// PairsAt returns the candidate pairs whose delay or target site is site
+// (none for a nil plan).
 func (p *Plan) PairsAt(site trace.SiteID) []Pair {
+	if p == nil {
+		return nil
+	}
 	var out []Pair
 	for _, pr := range p.Pairs {
 		if pr.Delay == site || pr.Target == site {
@@ -137,7 +152,6 @@ func (p *Plan) Clone() *Plan {
 		DelayLen:  make(map[trace.SiteID]sim.Duration, len(p.DelayLen)),
 		Interfere: make(map[trace.SiteID][]trace.SiteID, len(p.Interfere)),
 		Probs:     make(map[trace.SiteID]float64, len(p.Probs)),
-		inc:       p.inc,
 	}
 	for k, v := range p.DelayLen {
 		c.DelayLen[k] = v

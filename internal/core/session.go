@@ -295,11 +295,6 @@ type Session struct {
 	// (see tune.go). Nil — the default — costs one nil check per run and
 	// leaves the search byte-identical to a session without the field.
 	Tuner Tuner
-
-	// PoolTune, when non-nil, is forwarded to sched.Pool.Tune by
-	// ExposeParallel: consulted between waves with (wave, committed), a
-	// positive return adjusts the worker cap for the next wave.
-	PoolTune func(wave, committed int) int
 }
 
 // Expose performs up to MaxRuns runs, returning the outcome. A run that
@@ -317,54 +312,82 @@ func (s *Session) Expose() *Outcome {
 // byte-identical to Expose — Background's Done channel is nil, so the
 // simulator sees exactly the cancel-free configuration.
 func (s *Session) ExposeCtx(ctx context.Context) *Outcome {
+	st := s.begin()
+	defer st.end()
+	s.runs(ctx, st, 0)
+	return st.out
+}
+
+// search is one Expose call's state between runs: the outcome so far, the
+// last committed run, the current budget, and the open phase span.
+type search struct {
+	out     *Outcome
+	prev    *RunReport
+	maxRuns int
+	// firstDetection is the first run after the plan exists. Runs before
+	// it are the "prepare" phase, the rest "detect"; tools without a
+	// preparation phase (online identification) spend the whole search in
+	// "detect".
+	firstDetection int
+	stopSpan       func() // ends the open phase span; a no-op without a registry
+	stopRate       func() // publishes session.runs_per_sec
+}
+
+// begin starts a search: the rate clock, the uninstrumented baseline, and
+// the preparation span when the tool prepares.
+func (s *Session) begin() *search {
 	out := &Outcome{Program: s.Prog.Name(), Tool: s.Tool.Name()}
-	defer s.trackRate(out)()
+	st := &search{out: out, maxRuns: s.MaxRuns, firstDetection: 1, stopSpan: func() {}, stopRate: TrackRate(s.Metrics, out)}
+	if st.maxRuns <= 0 {
+		st.maxRuns = DefaultMaxRuns
+	}
 	out.BaseTime = s.Baseline()
-	var prev *RunReport
-	maxRuns := s.MaxRuns
-	if maxRuns <= 0 {
-		maxRuns = DefaultMaxRuns
-	}
-
-	// Phase spans: runs before the plan exists are "prepare", the rest
-	// "detect". Tools without a preparation phase (online identification)
-	// spend the whole search in "detect". stopSpan is a no-op without a
-	// registry — the clock is never read.
-	firstDetection := 1
 	if pd, ok := s.Tool.(PlanDriven); ok && pd.PrepRunCount() >= 0 {
-		firstDetection = 1 + pd.PrepRunCount()
+		st.firstDetection = 1 + pd.PrepRunCount()
 	}
-	stopSpan := func() {}
-	if firstDetection > 1 {
-		stopSpan = s.Metrics.Span("phase.prepare").Time()
+	if st.firstDetection > 1 {
+		st.stopSpan = s.Metrics.Span("phase.prepare").Time()
 	}
-	defer func() { stopSpan() }()
+	return st
+}
 
-	for run := 1; run <= maxRuns; run++ {
+// end closes the open phase span and publishes the run rate.
+func (st *search) end() {
+	st.stopSpan()
+	st.stopRate()
+}
+
+// runs performs the sequential search from run 1. With handoff > 0 it
+// stops before executing run handoff — after that run's context check,
+// tuner boundary and phase switch — and reports true, leaving the rest of
+// the search to the caller. Otherwise it reports false: the search ended.
+func (s *Session) runs(ctx context.Context, st *search, handoff int) bool {
+	for run := 1; run <= st.maxRuns; run++ {
 		if ctx.Err() != nil {
-			return out
+			return false
 		}
-		if s.Tuner != nil {
-			var stop bool
-			maxRuns, stop = s.tuneBoundary(out, run, maxRuns, prev, run > firstDetection)
-			if stop {
-				return out
-			}
+		var stop bool
+		st.maxRuns, stop = TuneBoundary(s.Tuner, s.Tool, st.out, run, st.maxRuns, st.prev, run > st.firstDetection)
+		if stop {
+			return false
 		}
-		if run == firstDetection {
-			stopSpan()
-			stopSpan = s.Metrics.Span("phase.detect").Time()
+		if run == st.firstDetection {
+			st.stopSpan()
+			st.stopSpan = s.Metrics.Span("phase.detect").Time()
+		}
+		if run == handoff {
+			return true
 		}
 		seed := s.BaseSeed + int64(run) - 1
-		hook := s.Tool.HookForRun(run, prev)
+		hook := s.Tool.HookForRun(run, st.prev)
 		res := s.execute(ctx, seed, hook)
-		rep, faulted := s.appendRun(out, run, seed, res, s.Tool.RunStats())
-		prev = rep
+		rep, faulted := FoldRun(st.out, RunReport{Run: run, Seed: seed, Stats: s.Tool.RunStats()}, res, s.Tool.Candidates, s.Metrics)
 		if faulted {
-			return out
+			return false
 		}
+		st.prev = rep
 	}
-	return out
+	return false
 }
 
 // execute performs one run, routing through the program's cancellable
@@ -379,14 +402,15 @@ func (s *Session) execute(ctx context.Context, seed int64, hook memmodel.Hook) E
 	return s.Prog.Execute(seed, hook)
 }
 
-// trackRate returns a stop function that publishes the session's
-// wall-clock run throughput to the session.runs_per_sec gauge. With no
-// registry the clock is never read.
-func (s *Session) trackRate(out *Outcome) func() {
-	if s.Metrics == nil {
+// TrackRate returns a stop function that publishes a search's wall-clock
+// run throughput — len(out.Runs) over the time since TrackRate was called
+// — to m's session.runs_per_sec gauge. With no registry the clock is never
+// read.
+func TrackRate(m *obs.Registry, out *Outcome) func() {
+	if m == nil {
 		return func() {}
 	}
-	g := s.Metrics.Gauge("session.runs_per_sec")
+	g := m.Gauge("session.runs_per_sec")
 	t0 := time.Now()
 	return func() {
 		if el := time.Since(t0).Seconds(); el > 0 {
@@ -395,60 +419,61 @@ func (s *Session) trackRate(out *Outcome) func() {
 	}
 }
 
-// appendRun folds one execution into the outcome: it records the run
-// report — including abnormal terminations, which must not be silently
-// dropped — and assembles the BugReport when the run manifested a NULL
-// reference fault that is attributable to delay injection. A NullRef
-// fault in a run with zero injected delays cannot be a consequence of a
-// delay (§5's zero-false-positive contract), so it yields no BugReport:
-// the fault is classified RunFaultDelayFree and listed in
-// out.DelayFreeFaults instead. Any fault still ends the search — the
-// program is crashing under the tool's feet either way. It reports
-// whether the fault ends the search.
-func (s *Session) appendRun(out *Outcome, run int, seed int64, res ExecResult, stats DelayStats) (rep *RunReport, faulted bool) {
-	r := RunReport{
-		Run: run, Seed: seed, End: res.End,
-		TimedOut: res.TimedOut, Fault: res.Fault,
-		Stats: stats,
-	}
+// FoldRun turns one finished run into results; every search loop — the
+// sequential and parallel sessions here and the live runtime's — calls
+// it. rep carries the run's number, seed, delay stats, and any
+// runtime-specific fields; FoldRun completes it from res and appends it to
+// out — abnormal terminations included, which must not be silently
+// dropped.
+//
+// A NULL reference or stale-read fault after at least one injected delay
+// (stats.Count counts flush delays too — a visibility delay is an
+// injection like any other) becomes out.Bug, with the plan pairs
+// candidates names for the faulting site and, for a stale read, the fence
+// proposal. The same fault in a run with zero injected delays cannot be a
+// consequence of a delay (§5's zero-false-positive contract), so it yields
+// no BugReport: the run is classified RunFaultDelayFree and listed in
+// out.DelayFreeFaults instead.
+//
+// The run is metered to m — the session.* counters and the opt-in JSONL
+// run event; nil disables both. FoldRun reports whether the run faulted,
+// which ends the search whatever the fault: the program is crashing under
+// the tool's feet either way.
+func FoldRun(out *Outcome, rep RunReport, res ExecResult, candidates func(trace.SiteID) []Pair, m *obs.Registry) (*RunReport, bool) {
+	rep.End, rep.TimedOut, rep.Fault = res.End, res.TimedOut, res.Fault
 	if res.Fault == nil && !res.TimedOut {
 		// Deadlocks, event-limit kills, and cancellations have no Fault and
 		// no dedicated field: without this the run would read as normal.
-		r.Err = res.Err
+		rep.Err = res.Err
 	}
 	switch {
 	case res.Fault != nil:
-		r.Outcome = RunFaultOther // refined below for NullRef faults
+		rep.Outcome = RunFaultOther // refined below for NullRef and stale-read faults
 	case res.TimedOut:
-		r.Outcome = RunTimedOut
-	case r.Err != nil:
-		r.Outcome = RunError
+		rep.Outcome = RunTimedOut
+	case rep.Err != nil:
+		rep.Outcome = RunError
 	}
-	out.Runs = append(out.Runs, r)
+	out.Runs = append(out.Runs, rep)
 	out.TotalTime += sim.Duration(res.End)
-	rep = &out.Runs[len(out.Runs)-1]
+	r := &out.Runs[len(out.Runs)-1]
 
 	if res.Fault != nil {
-		// report assembles the BugReport skeleton when the fault is
-		// attributable to delay injection (stats.Count counts flush delays
-		// too — a visibility delay is an injection like any other); a fault
-		// in a delay-free run takes the zero-false-positive path whichever
-		// fault class it belongs to.
 		report := func(site trace.SiteID) *BugReport {
-			if stats.Count == 0 {
-				rep.Outcome = RunFaultDelayFree
-				out.DelayFreeFaults = append(out.DelayFreeFaults, run)
+			if r.Stats.Count == 0 {
+				r.Outcome = RunFaultDelayFree
+				out.DelayFreeFaults = append(out.DelayFreeFaults, r.Run)
 				return nil
 			}
-			rep.Outcome = RunFaultBug
+			r.Outcome = RunFaultBug
 			return &BugReport{
-				Program:    s.Prog.Name(),
-				Tool:       s.Tool.Name(),
-				Run:        run,
-				Seed:       seed,
+				Program:    out.Program,
+				Tool:       out.Tool,
+				Run:        r.Run,
+				Seed:       r.Seed,
 				Fault:      res.Fault,
-				Candidates: s.Tool.Candidates(site),
-				Delays:     rep.Stats,
+				Candidates: candidates(site),
+				Delays:     r.Stats,
 			}
 		}
 		var nre *memmodel.NullRefError
@@ -466,17 +491,14 @@ func (s *Session) appendRun(out *Outcome, run int, seed int64, res ExecResult, s
 				out.Bug = b
 			}
 		}
-		s.meterRun(out, rep)
-		return rep, true
 	}
-	s.meterRun(out, rep)
-	return rep, false
+	meterRun(m, out, r)
+	return r, res.Fault != nil
 }
 
 // meterRun publishes one completed run to the session registry: aggregate
 // counters plus the opt-in per-run JSONL event. No-op without a registry.
-func (s *Session) meterRun(out *Outcome, rep *RunReport) {
-	m := s.Metrics
+func meterRun(m *obs.Registry, out *Outcome, rep *RunReport) {
 	if m == nil {
 		return
 	}

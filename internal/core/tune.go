@@ -97,11 +97,14 @@ type SiteProber interface {
 	LiveSites() int
 }
 
-// tuneBoundary consults the session's Tuner (if any) before run executes,
-// applying its decision. It returns the possibly-updated budget and
-// whether the session must stop before the run.
-func (s *Session) tuneBoundary(out *Outcome, run, maxRuns int, prev *RunReport, prevDetection bool) (newMax int, stop bool) {
-	if s.Tuner == nil {
+// TuneBoundary consults tuner before run executes and applies its
+// decision: retuned options go to tool when it is Retunable, and
+// TuneContext.LiveSites comes from tool when it is a SiteProber. It
+// returns the possibly-updated budget and whether the search must stop
+// before the run. A nil tuner changes nothing. Session and the live
+// Detector share it, so both runtimes honor a decision the same way.
+func TuneBoundary(tuner Tuner, tool any, out *Outcome, run, maxRuns int, prev *RunReport, prevDetection bool) (newMax int, stop bool) {
+	if tuner == nil {
 		return maxRuns, false
 	}
 	tc := TuneContext{
@@ -110,23 +113,20 @@ func (s *Session) tuneBoundary(out *Outcome, run, maxRuns int, prev *RunReport, 
 		Prev: prev, PrevDetection: prevDetection,
 		LiveSites: -1,
 	}
-	if sp, ok := s.Tool.(SiteProber); ok {
+	if sp, ok := tool.(SiteProber); ok {
 		tc.LiveSites = sp.LiveSites()
 	}
-	rt, retunable := s.Tool.(Retunable)
+	rt, retunable := tool.(Retunable)
 	if retunable {
 		tc.Opts = rt.CurrentOptions()
 		tc.Retunable = true
 	}
-	d := s.Tuner.TuneRun(tc)
+	d := tuner.TuneRun(tc)
 	if d.Opts != nil && retunable {
 		rt.SetOptions(*d.Opts)
 	}
 	if d.MaxRuns > 0 {
 		maxRuns = d.MaxRuns
 	}
-	if d.Stop || run > maxRuns {
-		return maxRuns, true
-	}
-	return maxRuns, false
+	return maxRuns, d.Stop || run > maxRuns
 }

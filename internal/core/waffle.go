@@ -144,16 +144,7 @@ func (w *Waffle) LiveSites() int {
 	if w.opts.DisablePrepRun {
 		return w.online.LiveSites()
 	}
-	if w.plan == nil {
-		return -1
-	}
-	n := 0
-	for _, p := range w.plan.Probs {
-		if p > 0 {
-			n++
-		}
-	}
-	return n
+	return w.plan.LiveSites()
 }
 
 // RunStats implements Tool.

@@ -52,8 +52,6 @@ func TestRunDifferentialCtxCancelMidCorpus(t *testing.T) {
 func TestRunDifferentialCtxBackgroundMatches(t *testing.T) {
 	a := RunDifferential(DiffOptions{Seed: 77, Programs: 2})
 	b := RunDifferentialCtx(context.Background(), DiffOptions{Seed: 77, Programs: 2})
-	a.StripTiming()
-	b.StripTiming()
 	if a.Cancelled || b.Cancelled {
 		t.Fatal("uncancelled sweeps flagged Cancelled")
 	}

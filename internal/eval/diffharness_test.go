@@ -16,13 +16,7 @@ func TestDifferentialSmoke(t *testing.T) {
 	if !r1.ReproOK {
 		t.Fatal("reproducibility checks failed")
 	}
-	if r1.Reanalysis == nil || r1.Reanalysis.FullNS <= 0 || r1.Reanalysis.IncrementalNS <= 0 {
-		t.Fatalf("missing re-analysis timing: %+v", r1.Reanalysis)
-	}
 	r2 := RunDifferential(opt)
-	// Wall-clock timings are the one legitimately nondeterministic part.
-	r1.StripTiming()
-	r2.StripTiming()
 	b1, err := json.Marshal(r1)
 	if err != nil {
 		t.Fatal(err)

@@ -62,9 +62,6 @@ type SuiteOptions struct {
 	// Parallelism runs that many tests concurrently (each test's worlds
 	// are fully independent). 0 = GOMAXPROCS.
 	Parallelism int
-	// AnalyzeWorkers shards each test's trace analysis across this many
-	// workers; the plans are bit-identical to sequential analysis.
-	AnalyzeWorkers int
 	// Metrics receives engine and pool counters from every tool the suite
 	// drives. Nil disables instrumentation. Measurements are unchanged
 	// either way (instruments only observe).
@@ -105,7 +102,7 @@ func EvalSuite(app *apps.App, opt SuiteOptions) SuiteRow {
 	sched.Run(sched.Pool{Workers: opt.Parallelism, Metrics: opt.Metrics},
 		0, len(tests)-1,
 		func(_ context.Context, i int) (testResult, error) {
-			return evalOneTest(tests[i], opt.Seed+int64(i)*101, opt.AnalyzeWorkers, opt.Metrics), nil
+			return evalOneTest(tests[i], opt.Seed+int64(i)*101, opt.Metrics), nil
 		},
 		func(r sched.Result[testResult]) bool {
 			results[r.Index] = r.Value
@@ -178,7 +175,7 @@ func EvalSuite(app *apps.App, opt SuiteOptions) SuiteRow {
 
 // evalOneTest performs every per-test measurement: base runs, one TSVD
 // run, two WaffleBasic runs, and Waffle's preparation + first detection.
-func evalOneTest(test *apps.Test, seed int64, analyzeWorkers int, metrics *obs.Registry) testResult {
+func evalOneTest(test *apps.Test, seed int64, metrics *obs.Registry) testResult {
 	var r testResult
 	base := test.Prog.Execute(seed, nil)
 	r.base = sim.Duration(base.End)
@@ -227,7 +224,7 @@ func evalOneTest(test *apps.Test, seed int64, analyzeWorkers int, metrics *obs.R
 	}
 
 	// Waffle: preparation run then first detection run.
-	wf := core.NewWaffle(core.Options{AnalyzeWorkers: analyzeWorkers, Metrics: metrics})
+	wf := core.NewWaffle(core.Options{Metrics: metrics})
 	wf.SetLabel(test.Name)
 	p1 := runTool(test.Prog, wf, 1, nil, seed)
 	r.wr1 = pct(p1.End, r.base)
@@ -243,7 +240,7 @@ func evalOneTest(test *apps.Test, seed int64, analyzeWorkers int, metrics *obs.R
 		// delays (§4.2), so the unperturbed count is the meaningful
 		// density measure.
 		r.moInstr = float64(len(moSitesOf(wf)))
-		unpruned := core.Analyze(tr, core.Options{DisableParentChild: true, AnalyzeWorkers: analyzeWorkers})
+		unpruned := core.Analyze(tr, core.Options{DisableParentChild: true})
 		r.moInj = float64(len(unpruned.InjectionSites()))
 	}
 	return r

@@ -49,8 +49,6 @@ func TestDifferentialTSOSmoke(t *testing.T) {
 	}
 
 	r2 := RunDifferential(opt)
-	r1.StripTiming()
-	r2.StripTiming()
 	b1, err := json.Marshal(r1)
 	if err != nil {
 		t.Fatal(err)

@@ -124,3 +124,41 @@ func TestRetuneDoesNotRaceLeakedGoroutines(t *testing.T) {
 	// window stays open while the test tears down.
 	time.Sleep(30 * time.Millisecond)
 }
+
+// recordingTuner doubles Alpha at every boundary and records the options
+// each boundary saw.
+type recordingTuner struct {
+	seen []core.Options
+}
+
+func (rt *recordingTuner) TuneRun(ctx core.TuneContext) core.TuneDecision {
+	rt.seen = append(rt.seen, ctx.Opts)
+	opts := ctx.Opts
+	opts.Alpha *= 2
+	return core.TuneDecision{Opts: &opts}
+}
+
+// A reused Detector continues the same search: a later Expose call starts
+// from the options the Tuner last set, not from the constructed ones —
+// the same way a core.Session over a reused Waffle does.
+func TestReusedDetectorKeepsRetunes(t *testing.T) {
+	body := func(root *Thread, h *Heap) {
+		r := h.NewRef("r")
+		r.Init(root, "reuse.init")
+		r.Use(root, "reuse.use")
+	}
+	rt := &recordingTuner{}
+	d := NewDetector(Options{RunTimeout: 5 * time.Second, Tuner: rt})
+	s := Scenario{Name: "reuse", Body: body}
+	d.Expose(s, 3, 1)
+	d.Expose(s, 3, 1)
+	if len(rt.seen) != 6 {
+		t.Fatalf("tuner consulted %d times, want 6", len(rt.seen))
+	}
+	if rt.seen[0].Alpha != DefaultAlpha {
+		t.Fatalf("first boundary saw alpha %g, want the default %g", rt.seen[0].Alpha, DefaultAlpha)
+	}
+	if got, want := rt.seen[3].Alpha, 2*rt.seen[2].Alpha; got != want {
+		t.Fatalf("second Expose started from alpha %g, want the last retune %g", got, want)
+	}
+}

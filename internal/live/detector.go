@@ -1,13 +1,11 @@
 package live
 
 import (
-	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"waffle/internal/core"
-	"waffle/internal/memmodel"
-	"waffle/internal/obs"
 	"waffle/internal/sim"
 	"waffle/internal/trace"
 )
@@ -35,15 +33,78 @@ type Phases struct {
 	Pairs      int           `json:"candidate_pairs"` // candidate set size |S|
 }
 
+// search is one target's plan across runs, shared by the Detector (one
+// scenario) and the Monitor (one per request path): a recording run
+// installs it, and every injecting run clones it and merges the decayed
+// clone back.
+type search struct {
+	mu   sync.Mutex // guards plan and prep; the Monitor's requests share them
+	plan *core.Plan
+	prep *trace.Trace
+}
+
+// record performs a delay-free recording run and, when the run finishes
+// without a fault, analyzes its trace with copts and installs the plan. A
+// faulted or timed-out recording yields no usable trace: plan is nil and
+// the installed plan stays as it was. took is the analysis time.
+func (s *search) record(spec runSpec, copts core.Options) (res runResult, plan *core.Plan, took time.Duration) {
+	spec.access, spec.recording = recordAccess, true
+	res = execRun(spec)
+	if res.trace == nil || res.fault != nil {
+		return res, nil, 0
+	}
+	t0 := time.Now()
+	plan = core.Analyze(res.trace, copts)
+	took = time.Since(t0)
+	s.mu.Lock()
+	s.plan, s.prep = plan, res.trace
+	s.mu.Unlock()
+	return res, plan, took
+}
+
+// inject performs one injecting run from a private clone of the plan.
+// Accesses to objects that pass object admission (objRate at objSeed)
+// reach the injector through exec's view of the accessing thread.
+//
+// The clone exists because a timed-out run leaks its goroutines (Go
+// cannot kill them), and the leaked threads keep calling this run's
+// injector, which decays its plan's Probs map under the injector's own
+// mutex. The clone keeps those writes off the shared plan — which later
+// runs' injectors and direct readers (PairsAt, WriteJSON) access with no
+// lock in common with the abandoned injector — and merges back only when
+// the run completes normally, after every one of its goroutines has
+// finished. It returns the run, its delay stats, and the clone.
+func (s *search) inject(spec runSpec, copts core.Options, objSeed int64, objRate float64, exec func(*Thread) core.Exec) (runResult, core.DelayStats, *core.Plan) {
+	s.mu.Lock()
+	runPlan := s.plan.Clone()
+	s.mu.Unlock()
+	inj := core.NewInjector(runPlan, copts)
+	spec.access = func(t *Thread, site trace.SiteID, obj trace.ObjID, kind trace.Kind) {
+		if objRate < 1 && !admitObj(objSeed, uint64(obj), objRate) {
+			return
+		}
+		inj.Access(exec(t), site, obj, kind, 0)
+	}
+	res := execRun(spec)
+	stats := inj.Stats()
+	if !res.timedOut {
+		s.mu.Lock()
+		s.plan.MergeFrom(runPlan)
+		s.mu.Unlock()
+	}
+	return res, stats, runPlan
+}
+
 // Detector drives the full Waffle pipeline against live scenarios:
 // preparation run → trace analysis → detection runs. Like core.Session's
 // Tool, a Detector is stateful across runs — the plan's per-site
-// probabilities decay monotonically over its lifetime, so reusing one
-// Detector across Expose calls continues the same search.
+// probabilities decay monotonically over its lifetime, and options a
+// Tuner retunes stay retuned, so reusing one Detector across Expose calls
+// continues the same search.
 type Detector struct {
+	search
 	opts   Options
-	plan   *core.Plan
-	prep   *trace.Trace
+	copts  core.Options // the engines' options; a Tuner may retune them
 	phases Phases
 
 	// Baseline state, measured once per Detector lifetime: the
@@ -57,7 +118,8 @@ type Detector struct {
 
 // NewDetector returns a detector with opts (zero value = live defaults).
 func NewDetector(opts Options) *Detector {
-	return &Detector{opts: opts.withDefaults()}
+	opts = opts.withDefaults()
+	return &Detector{opts: opts, copts: opts.coreOptions()}
 }
 
 // Plan returns the analysis plan, nil before the first successful
@@ -70,6 +132,21 @@ func (d *Detector) PrepTrace() *trace.Trace { return d.prep }
 
 // Phases returns the accumulated per-phase wall-clock costs.
 func (d *Detector) Phases() Phases { return d.phases }
+
+// LiveSites implements core.SiteProber: the plan's injection sites whose
+// probability is still above zero, -1 before the plan exists.
+func (d *Detector) LiveSites() int { return d.plan.LiveSites() }
+
+// CurrentOptions implements core.Retunable.
+func (d *Detector) CurrentOptions() core.Options { return d.copts }
+
+// SetOptions implements core.Retunable: every later run of this Detector,
+// in this Expose call and the next, uses opts. The metrics registry stays
+// the Detector's own.
+func (d *Detector) SetOptions(opts core.Options) {
+	opts.Metrics = d.copts.Metrics
+	d.copts = opts
+}
 
 // recordAccess is the preparation-run hook: append to the accessing
 // thread's own shard — no locks, no cross-goroutine state.
@@ -87,265 +164,102 @@ func recordAccess(t *Thread, site trace.SiteID, obj trace.ObjID, kind trace.Kind
 // (cannot) replay scheduling. The uninstrumented baseline run behind
 // Outcome.BaseTime executes once per Detector and is reused by later
 // Expose calls; an abnormal baseline is reported in Outcome.BaseErr.
+//
+// A Tuner (Options.Tuner) is consulted at every run boundary exactly as
+// core.Session consults one. Retunes are race-free by construction: each
+// detection run's injector copies the options at NewInjector, so
+// goroutines leaked by a timed-out run keep the options their run started
+// with.
 func (d *Detector) Expose(s Scenario, maxRuns int, baseSeed int64) *core.Outcome {
 	out := &core.Outcome{Program: s.Name, Tool: "waffle-live"}
-	copts := d.opts.coreOptions()
 	if maxRuns <= 0 {
 		maxRuns = d.opts.MaxRuns
 	}
-	defer d.trackRate(out)()
-
-	if !d.baseDone {
-		// A faulted or timed-out baseline is no overhead denominator: its
-		// truncated duration would understate BaseTime and inflate every
-		// overhead ratio, so record nothing and surface the abnormality.
-		base := execRun(runSpec{
-			label: s.Name, seed: baseSeed, body: s.Body,
-			timeout: d.opts.RunTimeout, metrics: d.opts.Metrics,
-		})
-		d.baseDone = true
-		switch {
-		case base.timedOut:
-			d.baseErr = fmt.Errorf("live: uninstrumented baseline run timed out after %v", base.wallDur)
-		case base.fault != nil:
-			d.baseErr = fmt.Errorf("live: uninstrumented baseline run faulted: %w", base.fault.Err)
-		default:
-			d.baseTime = sim.Duration(base.end)
-		}
-	}
-	out.BaseTime = d.baseTime
-	out.BaseErr = d.baseErr
-
 	m := d.opts.Metrics
-	var prevRep *core.RunReport
+	defer core.TrackRate(m, out)()
+	d.baseline(s, baseSeed)
+	out.BaseTime, out.BaseErr = d.baseTime, d.baseErr
+
+	var prev *core.RunReport
 	prevDetection := false
 	for run := 1; run <= maxRuns; run++ {
-		// Run-boundary tuning, mirroring core.Session: the tuner sees the
-		// previous run and the current live-site count, and may stop the
-		// search, shrink the budget, or replace the options used to build
-		// the NEXT injector. In-flight injectors copied their options at
-		// NewInjector, so goroutines leaked by a timed-out run are
-		// unaffected by any retune.
-		if d.opts.Tuner != nil {
-			dec := d.opts.Tuner.TuneRun(core.TuneContext{
-				Program: s.Name, Tool: out.Tool, Run: run, MaxRuns: maxRuns,
-				Prev: prevRep, PrevDetection: prevDetection,
-				LiveSites: d.liveSites(), Opts: copts, Retunable: true,
-			})
-			if dec.Opts != nil {
-				mm := copts.Metrics
-				copts = *dec.Opts
-				copts.Metrics = mm
-			}
-			if dec.MaxRuns > 0 {
-				maxRuns = dec.MaxRuns
-			}
-			if dec.Stop || run > maxRuns {
-				return out
-			}
+		var stop bool
+		maxRuns, stop = core.TuneBoundary(d.opts.Tuner, d, out, run, maxRuns, prev, prevDetection)
+		if stop {
+			return out
 		}
 		isDetection := d.plan != nil
-		seed := baseSeed + int64(run) - 1
+		rep := core.RunReport{Run: run, Seed: baseSeed + int64(run) - 1}
+		spec := runSpec{label: s.Name, seed: rep.Seed, body: s.Body, timeout: d.opts.RunTimeout, metrics: m}
 		var res runResult
-		var stats core.DelayStats
-		sampledOut := false
 		switch {
 		case d.plan == nil:
 			// Preparation: record, never inject. A prep run that faults or
 			// times out yields no usable trace; the plan stays nil and the
 			// next iteration prepares again. Preparation is never sampled
 			// out — without it there is no plan to sample against.
-			res = execRun(runSpec{
-				label: s.Name, seed: seed, body: s.Body,
-				access: recordAccess, recording: true,
-				timeout: d.opts.RunTimeout, metrics: m,
-			})
-			d.phases.Prepare += res.wallDur
-			d.phases.PrepRuns++
-			m.Span("phase.prepare").Observe(res.wallDur)
-			if res.trace != nil && res.fault == nil {
-				t0 := time.Now()
-				d.plan = core.Analyze(res.trace, copts)
-				d.phases.Analyze += time.Since(t0)
-				d.prep = res.trace
-				d.phases.Events = len(res.trace.Events)
-				d.phases.Pairs = len(d.plan.Pairs)
-			}
+			res = d.prepare(spec)
 		case !admitRun(baseSeed, run, d.opts.SampleRate):
 			// Sampled out: the body runs plain — no hook, no recording, no
 			// injector, no RNG draw for the admission itself (it is a
 			// deterministic hash of (baseSeed, run)). The run still counts
 			// against maxRuns: sampling trades detection opportunities for
 			// overhead, it does not extend the budget.
-			sampledOut = true
-			res = execRun(runSpec{
-				label: s.Name, seed: seed, body: s.Body,
-				timeout: d.opts.RunTimeout, metrics: m,
-			})
+			rep.SampledOut = true
+			res = execRun(spec)
 			d.phases.Detect += res.wallDur
 			m.Counter("session.runs_sampled_out").Inc()
 		default:
-			// Each detection run injects from a private clone of the plan:
-			// a timed-out run leaks its goroutines (Go cannot kill them),
-			// and the leaked threads keep calling this run's injector,
-			// which decays its plan's Probs map under the injector's own
-			// mutex. The clone keeps those writes off d.plan — which later
-			// runs' injectors and direct readers (PairsAt, WriteJSON)
-			// access with no lock in common with the abandoned injector —
-			// and the decayed state merges back only when the run completes
-			// normally, after every one of its goroutines has finished.
-			runPlan := d.plan.Clone()
-			inj := core.NewInjector(runPlan, copts)
-			hook := func(t *Thread, site trace.SiteID, obj trace.ObjID, kind trace.Kind) {
-				inj.Access(t.ex, site, obj, kind, 0)
-			}
-			if d.opts.ObjectRate < 1 {
-				// Per-object admission wraps the hook only when active, so
-				// the full-rate path stays literally the same code.
-				inner := hook
-				hook = func(t *Thread, site trace.SiteID, obj trace.ObjID, kind trace.Kind) {
-					if admitObj(baseSeed, uint64(obj), d.opts.ObjectRate) {
-						inner(t, site, obj, kind)
-					}
-				}
-			}
-			res = execRun(runSpec{
-				label: s.Name, seed: seed, body: s.Body,
-				access: hook, timeout: d.opts.RunTimeout, metrics: m,
-			})
-			stats = inj.Stats()
+			res, rep.Stats, _ = d.inject(spec, d.copts, baseSeed, d.opts.ObjectRate, func(t *Thread) core.Exec { return t.ex })
 			d.phases.Detect += res.wallDur
 			d.phases.DetectRuns++
 			m.Span("phase.detect").Observe(res.wallDur)
-			if !res.timedOut {
-				d.plan.MergeFrom(runPlan)
-			}
 		}
-
-		rep := core.RunReport{
-			Run: run, Seed: seed, End: res.end,
-			TimedOut: res.timedOut, Fault: res.fault, Stats: stats,
-			WallStart: res.wallStart, WallDur: res.wallDur,
-			SampledOut: sampledOut,
-		}
-		if res.fault == nil && !res.timedOut {
-			rep.Err = res.err
-		}
-		switch {
-		case res.fault != nil:
-			rep.Outcome = core.RunFaultOther // refined below for NullRef faults
-		case res.timedOut:
-			rep.Outcome = core.RunTimedOut
-		case rep.Err != nil:
-			rep.Outcome = core.RunError
-		}
-
-		if res.fault != nil {
-			var nre *memmodel.NullRefError
-			if errors.As(res.fault.Err, &nre) {
-				// Zero-false-positive contract (§5): a NullRef fault is
-				// reported as a bug only when the run actually injected a
-				// delay it could be a consequence of. A fault in a delay-free
-				// run — the preparation run, or a detection run whose
-				// injections all decayed or skipped — is the program failing
-				// on its own; claiming it would be a false positive.
-				if stats.Count > 0 {
-					rep.Outcome = core.RunFaultBug
-					var cands []core.Pair
-					if d.plan != nil {
-						cands = d.plan.PairsAt(nre.Site)
-					}
-					out.Bug = &core.BugReport{
-						Program: s.Name, Tool: out.Tool,
-						Run: run, Seed: seed,
-						Fault: res.fault, NullRef: nre,
-						Candidates: cands, Delays: stats,
-					}
-				} else {
-					rep.Outcome = core.RunFaultDelayFree
-					out.DelayFreeFaults = append(out.DelayFreeFaults, run)
-				}
-			}
-			out.Runs = append(out.Runs, rep)
-			out.TotalTime += sim.Duration(res.end)
-			d.meterRun(out, &rep)
+		rep.WallStart, rep.WallDur = res.wallStart, res.wallDur
+		r, faulted := core.FoldRun(out, rep, res.execResult(), d.plan.PairsAt, m)
+		if faulted {
 			return out
 		}
-		out.Runs = append(out.Runs, rep)
-		out.TotalTime += sim.Duration(res.end)
-		d.meterRun(out, &rep)
-		prevRep = &out.Runs[len(out.Runs)-1]
-		prevDetection = isDetection
+		prev, prevDetection = r, isDetection
 	}
 	return out
 }
 
-// liveSites counts plan sites whose probability is still above zero —
-// the signal the adaptive controller's scale-to-zero policy reads.
-// Returns -1 before the plan exists.
-func (d *Detector) liveSites() int {
-	if d.plan == nil {
-		return -1
-	}
-	n := 0
-	for _, p := range d.plan.Probs {
-		if p > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// meterRun publishes one completed run to the detector's registry, using
-// the same counter names and JSONL event shape as core.Session so a mixed
-// sim+live campaign aggregates into one snapshot.
-func (d *Detector) meterRun(out *core.Outcome, rep *core.RunReport) {
-	m := d.opts.Metrics
-	if m == nil {
+// baseline measures the uninstrumented run once per Detector. A faulted or
+// timed-out baseline is no overhead denominator: its truncated duration
+// would understate BaseTime and inflate every overhead ratio, so it
+// records nothing and surfaces the abnormality instead.
+func (d *Detector) baseline(s Scenario, seed int64) {
+	if d.baseDone {
 		return
 	}
-	m.Counter("session.runs").Inc()
-	switch rep.Outcome {
-	case core.RunFaultBug:
-		m.Counter("session.faults").Inc()
-		m.Counter("session.bugs_exposed").Inc()
-		m.Histogram("session.runs_to_exposure", obs.RunBuckets).Observe(int64(rep.Run))
-	case core.RunFaultDelayFree:
-		m.Counter("session.faults").Inc()
-		m.Counter("session.delay_free_faults").Inc()
-	case core.RunFaultOther:
-		m.Counter("session.faults").Inc()
-	case core.RunTimedOut:
-		m.Counter("session.runs_timed_out").Inc()
-	case core.RunError:
-		m.Counter("session.run_errors").Inc()
-	}
-	m.EmitRun(obs.RunEvent{
-		Program:    out.Program,
-		Tool:       out.Tool,
-		Run:        rep.Run,
-		Seed:       rep.Seed,
-		EndTicks:   int64(rep.End),
-		Delays:     rep.Stats.Count,
-		DelayTicks: int64(rep.Stats.Total),
-		Skipped:    rep.Stats.Skipped,
-		Outcome:    rep.Outcome.String(),
+	d.baseDone = true
+	base := execRun(runSpec{
+		label: s.Name, seed: seed, body: s.Body,
+		timeout: d.opts.RunTimeout, metrics: d.opts.Metrics,
 	})
+	switch {
+	case base.timedOut:
+		d.baseErr = fmt.Errorf("live: uninstrumented baseline run timed out after %v", base.wallDur)
+	case base.fault != nil:
+		d.baseErr = fmt.Errorf("live: uninstrumented baseline run faulted: %w", base.fault.Err)
+	default:
+		d.baseTime = sim.Duration(base.end)
+	}
 }
 
-// trackRate returns a stop function publishing wall-clock run throughput
-// to the session.runs_per_sec gauge; a no-op without a registry.
-func (d *Detector) trackRate(out *core.Outcome) func() {
-	if d.opts.Metrics == nil {
-		return func() {}
+// prepare performs one preparation run and accounts for it in the phases.
+func (d *Detector) prepare(spec runSpec) runResult {
+	res, plan, took := d.record(spec, d.copts)
+	d.phases.Prepare += res.wallDur
+	d.phases.PrepRuns++
+	d.opts.Metrics.Span("phase.prepare").Observe(res.wallDur)
+	if plan != nil {
+		d.phases.Analyze += took
+		d.phases.Events = len(res.trace.Events)
+		d.phases.Pairs = len(plan.Pairs)
 	}
-	g := d.opts.Metrics.Gauge("session.runs_per_sec")
-	t0 := time.Now()
-	return func() {
-		if el := time.Since(t0).Seconds(); el > 0 {
-			g.Set(float64(len(out.Runs)) / el)
-		}
-	}
+	return res
 }
 
 // Prepare performs only the delay-free preparation run and analysis,
@@ -353,13 +267,10 @@ func (d *Detector) trackRate(out *core.Outcome) func() {
 // Useful for measuring the preparation phase in isolation and for the
 // "prep alone does not expose" control runs.
 func (d *Detector) Prepare(s Scenario, seed int64) (*core.Plan, *core.RunReport) {
-	res := execRun(runSpec{
+	res := d.prepare(runSpec{
 		label: s.Name, seed: seed, body: s.Body,
-		access: recordAccess, recording: true,
 		timeout: d.opts.RunTimeout, metrics: d.opts.Metrics,
 	})
-	d.phases.Prepare += res.wallDur
-	d.phases.PrepRuns++
 	rep := &core.RunReport{
 		Run: 1, Seed: seed, End: res.end,
 		TimedOut: res.timedOut, Fault: res.fault,
@@ -371,11 +282,5 @@ func (d *Detector) Prepare(s Scenario, seed int64) (*core.Plan, *core.RunReport)
 	if res.trace == nil || res.fault != nil {
 		return nil, rep
 	}
-	t0 := time.Now()
-	d.plan = core.Analyze(res.trace, d.opts.coreOptions())
-	d.phases.Analyze += time.Since(t0)
-	d.prep = res.trace
-	d.phases.Events = len(res.trace.Events)
-	d.phases.Pairs = len(d.plan.Pairs)
 	return d.plan, rep
 }

@@ -11,9 +11,9 @@
 // operations (Ref.Init / Use / Dispose) against a lock-free-on-the-hot-path
 // Heap, and a Detector drives the same three-phase pipeline as the
 // simulator — a delay-free preparation run recorded into the standard
-// trace model, offline analysis via core.Analyze (sharded when configured),
-// then repeated detection runs where core.Injector issues real time.Sleep
-// delays gated by the interference counters and decaying probabilities.
+// trace model, offline analysis via core.Analyze, then repeated detection
+// runs where core.Injector issues real time.Sleep delays gated by the
+// interference counters and decaying probabilities.
 //
 // Differences from the simulator, by construction:
 //
@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"waffle/internal/core"
 	"waffle/internal/obs"
 	"waffle/internal/sim"
 	"waffle/internal/trace"
@@ -241,6 +242,11 @@ type runResult struct {
 	wallStart time.Time  // physical start time
 	wallDur   time.Duration
 	trace     *trace.Trace // recorded trace (preparation runs only)
+}
+
+// execResult is the run as the clock-agnostic core sees it.
+func (r runResult) execResult() core.ExecResult {
+	return core.ExecResult{End: r.end, Fault: r.fault, TimedOut: r.timedOut, Err: r.err}
 }
 
 // runSpec parameterizes one live run.

@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"waffle/internal/core"
-	"waffle/internal/memmodel"
 	"waffle/internal/obs"
 	"waffle/internal/sim"
-	"waffle/internal/trace"
 )
 
 // Monitor is the always-on deployment of the live pipeline: instead of a
@@ -71,12 +69,9 @@ type Monitor struct {
 
 // target is one request path's detection state.
 type target struct {
-	path string
-
-	mu   sync.Mutex
-	plan *core.Plan
-	prep *trace.Trace
-	bugs []*core.BugReport
+	search // the path's plan; search.mu also guards bugs
+	path   string
+	bugs   []*core.BugReport
 
 	recording atomic.Bool // claim flag: at most one recorder per path
 	hasPlan   atomic.Bool // lock-free fast check on the request path
@@ -189,11 +184,8 @@ func (m *Monitor) runPlain(path string, seq int64, body func(*Thread, *Heap), op
 	if m.baseN.Add(1)%budgetRefreshEvery == 0 {
 		m.refreshBudget(opts.SLO)
 	}
-	rep := RequestReport{Path: path, Seq: seq, SampledOut: sampled, Fault: res.fault, Dur: res.wallDur}
-	if res.fault != nil {
-		m.noteDelayFreeFault(res.fault)
-	}
-	return rep
+	m.fold(path, seq, res, core.DelayStats{}, nil)
+	return RequestReport{Path: path, Seq: seq, SampledOut: sampled, Fault: res.fault, Dur: res.wallDur}
 }
 
 // runRecord executes the path's preparation run: record through the
@@ -202,64 +194,29 @@ func (m *Monitor) runPlain(path string, seq int64, body func(*Thread, *Heap), op
 // the next admitted request tries again.
 func (m *Monitor) runRecord(tgt *target, seq int64, body func(*Thread, *Heap), opts Options, copts core.Options) RequestReport {
 	defer tgt.recording.Store(false)
-	res := execRun(runSpec{
+	res, plan, _ := tgt.record(runSpec{
 		label: tgt.path, seed: m.seed + seq, body: body,
-		access: recordAccess, recording: true,
 		timeout: opts.RunTimeout, metrics: m.reg,
-	})
+	}, copts)
 	m.sampHist.Observe(res.wallDur.Microseconds())
 	m.admitted.Inc()
 	rep := RequestReport{Path: tgt.path, Seq: seq, Admitted: true, Fault: res.fault, Dur: res.wallDur}
-	if res.trace != nil && res.fault == nil && !res.timedOut {
-		plan := core.Analyze(res.trace, copts)
-		tgt.mu.Lock()
-		tgt.plan, tgt.prep = plan, res.trace
-		tgt.mu.Unlock()
+	if plan != nil {
 		tgt.hasPlan.Store(true)
 		m.recorded.Inc()
 		rep.Recorded = true
 	}
-	if res.fault != nil {
-		m.noteDelayFreeFault(res.fault)
-	}
+	m.fold(tgt.path, seq, res, core.DelayStats{}, nil)
 	return rep
 }
 
 // runDetect executes one injecting request against the path's plan. The
-// injector works on a private clone (identical reasoning to
-// Detector.Expose: a timed-out request's leaked goroutines keep decaying
-// the clone, never the shared plan) and its delays flow through a
-// budget-capped Exec so the request's total injected sleep cannot exceed
-// the SLO budget.
+// injector works on a private clone (see search.inject: a timed-out
+// request's leaked goroutines keep decaying the clone, never the shared
+// plan) and its delays flow through a budget-capped Exec so the request's
+// total injected sleep cannot exceed the SLO budget.
 func (m *Monitor) runDetect(tgt *target, seq int64, body func(*Thread, *Heap), opts Options, copts core.Options) RequestReport {
-	// Run-boundary tuning, reusing the core.Tuner seam: the tuner can
-	// retune Alpha/Decay for subsequent requests or stop detection
-	// entirely (a Stop maps to Monitor.Stop — sampling admission keeps
-	// running, injection ceases until Start).
-	if opts.Tuner != nil {
-		dec := opts.Tuner.TuneRun(core.TuneContext{
-			Program: tgt.path, Tool: "waffle-live-monitor",
-			Run: int(seq), MaxRuns: 0,
-			LiveSites: tgt.liveSites(), Opts: copts, Retunable: true,
-		})
-		if dec.Opts != nil {
-			m.mu.Lock()
-			m.opts.Alpha, m.opts.Decay = dec.Opts.Alpha, dec.Opts.Decay
-			m.copts = m.opts.coreOptions()
-			copts = m.copts
-			m.mu.Unlock()
-		}
-		if dec.Stop {
-			m.enabled.Store(false)
-			return m.runPlain(tgt.path, seq, body, opts, false)
-		}
-	}
 	m.admitted.Inc()
-
-	tgt.mu.Lock()
-	runPlan := tgt.plan.Clone()
-	tgt.mu.Unlock()
-	inj := core.NewInjector(runPlan, copts)
 
 	// The delay budget is shared by every goroutine of this request:
 	// injected sleeps atomically draw it down and truncate at zero.
@@ -269,62 +226,45 @@ func (m *Monitor) runDetect(tgt *target, seq int64, body func(*Thread, *Heap), o
 	} else {
 		left.Store(math.MaxInt64)
 	}
-	objRate, seed := opts.ObjectRate, m.seed
 	trunc := m.truncated
-	hook := func(t *Thread, site trace.SiteID, obj trace.ObjID, kind trace.Kind) {
-		if objRate < 1 && !admitObj(seed, uint64(obj), objRate) {
-			return
-		}
-		inj.Access(t.budgeted(&left, trunc), site, obj, kind, 0)
-	}
-
-	res := execRun(runSpec{
+	res, stats, runPlan := tgt.inject(runSpec{
 		label: tgt.path, seed: m.seed + seq, body: body,
-		access: hook, timeout: opts.RunTimeout, metrics: m.reg,
-	})
-	stats := inj.Stats()
+		timeout: opts.RunTimeout, metrics: m.reg,
+	}, copts, m.seed, opts.ObjectRate, func(t *Thread) core.Exec { return t.budgeted(&left, trunc) })
 	m.sampHist.Observe(res.wallDur.Microseconds())
-	if !res.timedOut {
-		tgt.mu.Lock()
-		tgt.plan.MergeFrom(runPlan)
-		tgt.mu.Unlock()
-	}
 
 	rep := RequestReport{
 		Path: tgt.path, Seq: seq, Admitted: true,
 		Delays: stats.Count, Fault: res.fault, Dur: res.wallDur,
 	}
-	if res.fault != nil {
-		var nre *memmodel.NullRefError
-		if errors.As(res.fault.Err, &nre) && stats.Count > 0 {
-			// Zero-false-positive contract: a NULL-reference fault is a
-			// bug only when this request actually injected a delay it
-			// could be a consequence of.
-			bug := &core.BugReport{
-				Program: tgt.path, Tool: "waffle-live-monitor",
-				Run: int(seq), Seed: m.seed + seq,
-				Fault: res.fault, NullRef: nre,
-				Candidates: runPlan.PairsAt(nre.Site), Delays: stats,
-			}
-			tgt.mu.Lock()
-			tgt.bugs = append(tgt.bugs, bug)
-			tgt.mu.Unlock()
-			m.bugsCtr.Inc()
-			rep.Bug = bug
-		} else {
-			m.noteDelayFreeFault(res.fault)
-		}
+	if bug := m.fold(tgt.path, seq, res, stats, runPlan); bug != nil {
+		tgt.mu.Lock()
+		tgt.bugs = append(tgt.bugs, bug)
+		tgt.mu.Unlock()
+		rep.Bug = bug
 	}
 	return rep
 }
 
-// noteDelayFreeFault counts a fault that manifested with no delays
-// injected — the program failing on its own, never claimed as a bug.
-func (m *Monitor) noteDelayFreeFault(f *sim.Fault) {
-	var nre *memmodel.NullRefError
-	if errors.As(f.Err, &nre) {
+// fold classifies a finished request through core's run fold. A fault
+// after injected delays is the path's bug, counted in live.bugs_exposed;
+// a NULL-reference fault with no delays injected is the program failing
+// on its own, counted in live.delay_free_faults and never claimed as a
+// bug. The request is one run of no session, so the session.* metrics
+// stay untouched.
+func (m *Monitor) fold(path string, seq int64, res runResult, stats core.DelayStats, plan *core.Plan) *core.BugReport {
+	if res.fault == nil {
+		return nil
+	}
+	out := &core.Outcome{Program: path, Tool: "waffle-live-monitor"}
+	core.FoldRun(out, core.RunReport{Run: int(seq), Seed: m.seed + seq, Stats: stats}, res.execResult(), plan.PairsAt, nil)
+	switch {
+	case out.Bug != nil:
+		m.bugsCtr.Inc()
+	case len(out.DelayFreeFaults) > 0:
 		m.dfFaults.Inc()
 	}
+	return out.Bug
 }
 
 // refreshBudget rederives the per-request delay budget from the baseline
@@ -366,23 +306,6 @@ func (m *Monitor) Stop() { m.enabled.Store(false) }
 
 // Enabled reports whether detection is on.
 func (m *Monitor) Enabled() bool { return m.enabled.Load() }
-
-// liveSites counts the target's plan sites with probability still above
-// zero (-1 before the plan exists) — the TuneContext signal.
-func (t *target) liveSites() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.plan == nil {
-		return -1
-	}
-	n := 0
-	for _, p := range t.plan.Probs {
-		if p > 0 {
-			n++
-		}
-	}
-	return n
-}
 
 // TuneRequest is a partial options update applied by Tune; nil fields are
 // left unchanged.

@@ -53,11 +53,6 @@ type Options struct {
 	// MaxRuns bounds Detector.Expose when its maxRuns argument is <= 0.
 	MaxRuns int
 
-	// AnalyzeWorkers shards trace analysis (core.AnalyzeParallel) across
-	// this many workers; zero or one analyzes sequentially. The plan is
-	// bit-identical either way.
-	AnalyzeWorkers int
-
 	// RunTimeout bounds each run's wall-clock time. A timed-out run leaks
 	// its goroutines (Go cannot kill them); the detector records the run
 	// as timed out and abandons its state: every shard is sealed so the
@@ -94,12 +89,13 @@ type Options struct {
 	// scrapeable mid-campaign. Nil disables all instrumentation.
 	Metrics *obs.Registry
 
-	// Tuner, when non-nil, is consulted at every run boundary exactly like
-	// core.Session.Tuner: it can stop the search, shrink the budget, or
-	// retune Alpha/Decay for subsequent runs. Retunes are race-free by
-	// construction — each detection run's injector copies the options at
-	// NewInjector, so goroutines leaked by a timed-out run keep the
-	// options their run started with and never observe a retune.
+	// Tuner, when non-nil, is consulted by Detector.Expose at every run
+	// boundary exactly like core.Session.Tuner: it can stop the search,
+	// shrink the budget, or retune Alpha/Decay for subsequent runs. Retunes
+	// are race-free by construction — each detection run's injector copies
+	// the options at NewInjector, so goroutines leaked by a timed-out run
+	// keep the options their run started with and never observe a retune.
+	// The Monitor ignores Tuner; Monitor.Tune retunes it.
 	Tuner core.Tuner
 }
 
@@ -122,9 +118,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRuns <= 0 {
 		o.MaxRuns = DefaultMaxRuns
-	}
-	if o.AnalyzeWorkers < 0 {
-		o.AnalyzeWorkers = 0
 	}
 	if o.RunTimeout <= 0 {
 		o.RunTimeout = DefaultRunTimeout
@@ -154,7 +147,6 @@ func (o Options) coreOptions() core.Options {
 		InstrCost:                  -1,
 		TraceCost:                  -1,
 		MaxDetectionRuns:           o.MaxRuns,
-		AnalyzeWorkers:             o.AnalyzeWorkers,
 		DisableCustomLengths:       o.FixedDelays,
 		DisableInterferenceControl: o.NoInterferenceControl,
 		Metrics:                    o.Metrics,

@@ -1,24 +1,26 @@
 // Package server is the long-running campaign daemon: a job manager
 // that accepts detection-campaign jobs over HTTP, fans each job's
-// generated corpus over the shared internal/sched pool through a
-// pluggable internal/engine detection engine, streams incremental
-// results, and journals every committed program to a JSONL file so a
-// killed server resumes mid-corpus on restart.
+// generated corpus over the shared internal/sched pool, runs every
+// search as a core.Session over the detection tool the job names,
+// streams incremental results, and journals every committed program to a
+// JSONL file so a killed server resumes mid-corpus on restart.
 //
-// The layering mirrors the engine/executor split: engines own detection
-// logic for one search; the manager here owns admission, priority,
-// budgets, persistence, and cancellation. Program results commit in
-// corpus order (internal/sched's in-order commit contract), so the
-// journal cursor is always a contiguous prefix and resume is exact —
-// no program reruns, none are skipped.
+// The tools own detection logic for one search; the manager here owns
+// admission, priority, budgets, persistence, and cancellation. Program
+// results commit in corpus order (internal/sched's in-order commit
+// contract), so the journal cursor is always a contiguous prefix and
+// resume is exact — no program reruns, none are skipped.
 package server
 
 import (
 	"fmt"
 	"time"
 
-	"waffle/internal/engine"
+	"waffle/internal/core"
 	"waffle/internal/genprog"
+	"waffle/internal/obs"
+	"waffle/internal/tsvd"
+	"waffle/internal/wafflebasic"
 )
 
 // CorpusSpec names a generated ground-truth corpus: program i is
@@ -53,14 +55,51 @@ func (c CorpusSpec) sizeFor(i int) (genprog.Size, error) {
 	return 0, fmt.Errorf("server: unknown corpus size %q (want small|medium|large|mixed)", c.Size)
 }
 
+// Engine kinds a job may name.
+const (
+	KindWaffle      = "waffle"
+	KindWaffleBasic = "wafflebasic"
+	KindTSVD        = "tsvd"
+)
+
+// EngineSpec selects and parameterizes a job's detection tool. The zero
+// value of each options struct means that tool's defaults, so
+// {"kind": "waffle"} is a complete configuration.
+type EngineSpec struct {
+	// Kind selects the tool: waffle | wafflebasic | tsvd.
+	Kind string `json:"kind"`
+	// Core parameterizes the waffle and wafflebasic tools.
+	Core core.Options `json:"core,omitempty"`
+	// TSVD parameterizes the tsvd tool.
+	TSVD tsvd.Options `json:"tsvd,omitempty"`
+}
+
+// tool builds a fresh tool of the spec's kind. Tools are stateful across
+// runs (probabilities decay), so every search gets its own. A non-nil
+// metrics replaces the core tools' registry.
+func (e EngineSpec) tool(metrics *obs.Registry) (core.Tool, error) {
+	opts := e.Core
+	if metrics != nil {
+		opts.Metrics = metrics
+	}
+	switch e.Kind {
+	case KindWaffle:
+		return core.NewWaffle(opts), nil
+	case KindWaffleBasic:
+		return wafflebasic.New(opts), nil
+	case KindTSVD:
+		return tsvd.New(e.TSVD), nil
+	}
+	return nil, fmt.Errorf("server: unknown engine kind %q (want %s, %s or %s)", e.Kind, KindWaffle, KindWaffleBasic, KindTSVD)
+}
+
 // JobSpec is one campaign job as submitted over the API.
 type JobSpec struct {
 	// Corpus selects the generated programs the job sweeps.
 	Corpus CorpusSpec `json:"corpus"`
-	// Engine selects and parameterizes the detection engine. An empty
-	// Kind means waffle. The live engine is rejected: live scenarios are
-	// in-process closures and cannot be described in a JSON job.
-	Engine engine.Config `json:"engine"`
+	// Engine selects and parameterizes the detection tool. An empty Kind
+	// means waffle.
+	Engine EngineSpec `json:"engine"`
 	// MaxRuns bounds each armed session (preparation included). <= 0
 	// means 25.
 	MaxRuns int `json:"max_runs,omitempty"`
@@ -88,7 +127,7 @@ func (s JobSpec) withDefaults() JobSpec {
 		s.DisarmRuns = 12
 	}
 	if s.Engine.Kind == "" {
-		s.Engine.Kind = engine.KindWaffle
+		s.Engine.Kind = KindWaffle
 	}
 	if s.Corpus.TSO {
 		// A TSO corpus implies TSO analysis for the core-driven engines;
@@ -104,10 +143,7 @@ func (s JobSpec) Validate() error {
 	if _, err := s.Corpus.sizeFor(0); err != nil {
 		return err
 	}
-	if s.Engine.Kind == engine.KindLive {
-		return fmt.Errorf("server: the live engine needs an in-process scenario and cannot run corpus jobs")
-	}
-	if _, err := engine.New(s.Engine); err != nil {
+	if _, err := s.Engine.tool(nil); err != nil {
 		return err
 	}
 	if s.Corpus.Programs > 100000 {

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"waffle/internal/engine"
 	"waffle/internal/obs"
 )
 
@@ -18,7 +17,7 @@ import (
 func smallSpec(seed int64, programs int) JobSpec {
 	return JobSpec{
 		Corpus:     CorpusSpec{Seed: seed, Programs: programs, Size: "small"},
-		Engine:     engine.Config{Kind: engine.KindWaffle},
+		Engine:     EngineSpec{Kind: KindWaffle},
 		MaxRuns:    15,
 		DisarmRuns: 4,
 	}
@@ -268,7 +267,7 @@ func TestSubmitValidatesAndDrainRejects(t *testing.T) {
 		t.Fatal("bad size accepted")
 	}
 	bad = smallSpec(340, 1)
-	bad.Engine.Kind = engine.KindLive
+	bad.Engine.Kind = "live"
 	if _, err := m.Submit(bad); err == nil {
 		t.Fatal("live engine accepted for a corpus job")
 	}

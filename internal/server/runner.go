@@ -6,21 +6,19 @@ import (
 
 	"waffle/internal/control"
 	"waffle/internal/core"
-	"waffle/internal/engine"
 	"waffle/internal/genprog"
 	"waffle/internal/obs"
 )
 
 // runProgram executes the full oracle for one corpus program: every
-// planted bug armed in isolation under a fresh engine, then a disarmed
+// planted bug armed in isolation under a fresh tool, then a disarmed
 // zero-FP control. It mirrors the eval diff harness program-for-program
-// so campaign results and benchmark results agree, but drives the
-// pluggable engine layer instead of a hard-coded tool set.
+// so campaign results and benchmark results agree, but runs the tool the
+// job names instead of a hard-coded tool set.
 //
-// Engines are stateful (probabilities decay across Expose calls), so
-// every session gets a fresh engine: that is what a direct caller
-// running independent searches would do, and what keeps sessions
-// independent of corpus scheduling order.
+// Tools are stateful (probabilities decay across runs), so every session
+// gets a fresh tool: that is what keeps sessions independent of corpus
+// scheduling order.
 func runProgram(ctx context.Context, spec JobSpec, i int, ctl *control.Controller, metrics *obs.Registry) *ProgramResult {
 	size, err := spec.Corpus.sizeFor(i)
 	if err != nil {
@@ -44,44 +42,28 @@ func runProgram(ctx context.Context, spec JobSpec, i int, ctl *control.Controlle
 		pr.Violations = append(pr.Violations, fmt.Sprintf("%s: ", p.Name())+fmt.Sprintf(format, args...))
 	}
 
-	// newEngine builds a fresh engine for one session, wiring the
-	// adaptive controller's per-target tuner when the job asked for one:
-	// the engine's own metrics divert to the target's registry (the
-	// controller reads per-session decay counters there) while
-	// session-level metrics stay on the campaign registry.
-	newEngine := func(target string) (engine.Engine, *control.Target, error) {
-		ecfg := spec.Engine
+	// runSession runs one search under a fresh tool, wiring the adaptive
+	// controller's per-target tuner when the job asked for one: the tool's
+	// own metrics divert to the target's registry (the controller reads
+	// per-session decay counters there) while session-level metrics stay
+	// on the campaign registry.
+	runSession := func(target string, prog *genprog.Program, budget int, seed int64) (*core.Outcome, error) {
 		var tgt *control.Target
+		var toolMetrics *obs.Registry
 		if ctl != nil {
 			if tgt = ctl.TargetWithRegistry(target, obs.New()); tgt != nil {
-				ecfg.Core.Metrics = tgt.Registry()
+				toolMetrics = tgt.Registry()
 			}
 		}
-		eng, err := engine.New(ecfg)
-		return eng, tgt, err
-	}
-
-	runSession := func(target string, prog *genprog.Program, budget int, seed int64) (*core.Outcome, error) {
-		eng, tgt, err := newEngine(target)
+		tool, err := spec.Engine.tool(toolMetrics)
 		if err != nil {
 			return nil, err
 		}
-		t := engine.Target{
-			Prog:     prog.Prog(),
-			MaxRuns:  budget,
-			BaseSeed: seed,
-			Metrics:  metrics,
-		}
+		s := &core.Session{Prog: prog.Prog(), Tool: tool, MaxRuns: budget, BaseSeed: seed, Metrics: metrics}
 		if tgt != nil {
-			t.Tuner = tgt
+			s.Tuner = tgt
 		}
-		if err := eng.Prepare(t); err != nil {
-			return nil, err
-		}
-		out, err := eng.Expose(ctx)
-		if err != nil {
-			return nil, err
-		}
+		out := s.ExposeCtx(ctx)
 		tgt.ObserveOutcome(out)
 		return out, nil
 	}

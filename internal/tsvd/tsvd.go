@@ -72,7 +72,8 @@ type delayRec struct {
 
 // Tool is a TSVD instance. State (candidate set, probabilities, inferred
 // removals) persists across runs; call BeginRun between runs. It
-// implements memmodel.Hook and reacts only to thread-unsafe API kinds.
+// implements memmodel.Hook and reacts only to thread-unsafe API kinds, and
+// core.Tool so core.Session can drive it run by run.
 type Tool struct {
 	opts Options
 
@@ -127,11 +128,11 @@ func (t *Tool) InstrumentationSiteCount() int { return len(t.instrSites) }
 // the candidate set (Table 2's TSV "Injection Sites").
 func (t *Tool) InjectionSiteCount() int { return len(t.injSites) }
 
-// LiveSiteCount reports the number of sites that can still inject: some
-// un-removed pair and positive probability. Zero means the tool has gone
-// quiet — every remaining run is injection-free. The adaptive harness's
-// tsvdTool adapter surfaces this as core.SiteProber.
-func (t *Tool) LiveSiteCount() int {
+// LiveSites implements core.SiteProber: the number of sites that can still
+// inject — some un-removed pair and positive probability. Zero means the
+// tool has gone quiet: every remaining run is injection-free, which lets
+// the adaptive controller scale a quiet TSVD session to zero.
+func (t *Tool) LiveSites() int {
 	n := 0
 	for site, p := range t.probs {
 		if p > 0 && t.siteLive(site) {
@@ -158,7 +159,36 @@ func (t *Tool) Pairs() [][2]trace.SiteID {
 	return out
 }
 
-var _ memmodel.Hook = (*Tool)(nil)
+var (
+	_ memmodel.Hook   = (*Tool)(nil)
+	_ core.Tool       = (*Tool)(nil)
+	_ core.SiteProber = (*Tool)(nil)
+)
+
+// Name implements core.Tool.
+func (t *Tool) Name() string { return "tsvd" }
+
+// HookForRun implements core.Tool: every run identifies and injects.
+func (t *Tool) HookForRun(run int, prev *core.RunReport) memmodel.Hook {
+	t.BeginRun()
+	return t
+}
+
+// RunStats implements core.Tool.
+func (t *Tool) RunStats() core.DelayStats { return t.Stats() }
+
+// Candidates implements core.Tool. TSVD has no MemOrder candidate notion,
+// so its unordered TSV site pairs involving site map through core.Pair for
+// report display only.
+func (t *Tool) Candidates(site trace.SiteID) []core.Pair {
+	var out []core.Pair
+	for _, pr := range t.Pairs() {
+		if pr[0] == site || pr[1] == site {
+			out = append(out, core.Pair{Delay: pr[0], Target: pr[1]})
+		}
+	}
+	return out
+}
 
 // OnAccess implements memmodel.Hook.
 func (t *Tool) OnAccess(th *sim.Thread, site trace.SiteID, obj trace.ObjID, kind trace.Kind, dur sim.Duration) {

@@ -206,3 +206,15 @@ func TestTSVDExposeCleanProgramFindsNothing(t *testing.T) {
 		t.Fatalf("lock-protected program exposed a TSV: %+v", exp)
 	}
 }
+
+// The tool satisfies the interfaces core.Session and the adaptive
+// controller drive it through.
+func TestToolInterfaces(t *testing.T) {
+	var tool core.Tool = New(Options{})
+	if tool.Name() != "tsvd" {
+		t.Fatalf("Name() = %q", tool.Name())
+	}
+	if _, ok := tool.(core.SiteProber); !ok {
+		t.Fatal("Tool does not implement core.SiteProber")
+	}
+}

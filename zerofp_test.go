@@ -13,7 +13,6 @@ import (
 	"waffle/internal/core"
 	"waffle/internal/memmodel"
 	"waffle/internal/sim"
-	"waffle/internal/trace"
 	"waffle/internal/tsvd"
 	"waffle/internal/wafflebasic"
 )
@@ -36,31 +35,11 @@ func delayFreeFaulter() *core.SimProgram {
 	}
 }
 
-// tsvdAsTool adapts the TSVD baseline to core.Tool, mirroring the adapter
-// the differential harness uses.
-type tsvdAsTool struct{ t *tsvd.Tool }
-
-func (a *tsvdAsTool) Name() string { return "tsvd" }
-func (a *tsvdAsTool) HookForRun(run int, prev *core.RunReport) memmodel.Hook {
-	a.t.BeginRun()
-	return a.t
-}
-func (a *tsvdAsTool) RunStats() core.DelayStats { return a.t.Stats() }
-func (a *tsvdAsTool) Candidates(site trace.SiteID) []core.Pair {
-	var out []core.Pair
-	for _, pr := range a.t.Pairs() {
-		if pr[0] == site || pr[1] == site {
-			out = append(out, core.Pair{Delay: pr[0], Target: pr[1]})
-		}
-	}
-	return out
-}
-
 func zeroFPTools() map[string]func() core.Tool {
 	return map[string]func() core.Tool{
 		"waffle":      func() core.Tool { return core.NewWaffle(core.Options{}) },
 		"wafflebasic": func() core.Tool { return wafflebasic.New(core.Options{}) },
-		"tsvd":        func() core.Tool { return &tsvdAsTool{t: tsvd.New(tsvd.Options{})} },
+		"tsvd":        func() core.Tool { return tsvd.New(tsvd.Options{}) },
 	}
 }
 
