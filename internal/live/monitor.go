@@ -250,8 +250,7 @@ func (m *Monitor) runDetect(tgt *target, seq int64, body func(*Thread, *Heap), o
 // after injected delays is the path's bug, counted in live.bugs_exposed;
 // a NULL-reference fault with no delays injected is the program failing
 // on its own, counted in live.delay_free_faults and never claimed as a
-// bug. The request is one run of no session, so the session.* metrics
-// stay untouched.
+// bug. A request is not a session run, so no session.* metric moves.
 func (m *Monitor) fold(path string, seq int64, res runResult, stats core.DelayStats, plan *core.Plan) *core.BugReport {
 	if res.fault == nil {
 		return nil
