@@ -83,8 +83,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // suiteDigest runs one test through a fresh Waffle session and hashes
-// everything the session decided: each run's report, the bug report, the
-// final plan and the preparation trace.
+// everything the session decided: each run's report, the bug report (its
+// text and JSON forms), the final plan and the preparation trace.
 func suiteDigest(t *testing.T, test *apps.Test, seed int64) string {
 	t.Helper()
 	budget := goldenCleanRuns
@@ -99,7 +99,12 @@ func suiteDigest(t *testing.T, test *apps.Test, seed int64) string {
 			r.Run, r.Seed, int64(r.End), r.TimedOut, r.Stats.Count, int64(r.Stats.Total), r.Stats.Skipped, r.Outcome)
 	}
 	if out.Bug != nil {
+		// String omits the fault's op label and thread stacks; the JSON
+		// carries them.
 		fmt.Fprintf(h, "bug %s\n", out.Bug)
+		if err := out.Bug.WriteJSON(h); err != nil {
+			t.Fatalf("%s: encode bug report: %v", test.Name, err)
+		}
 	} else {
 		fmt.Fprintf(h, "bug none\n")
 	}

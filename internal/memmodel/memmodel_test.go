@@ -411,3 +411,65 @@ func TestHeapCensus(t *testing.T) {
 		t.Fatalf("census = %+v", c)
 	}
 }
+
+// TestOpLabelLastAnnouncementWins pins how an access's op label and an
+// explicit SetOp interleave: whichever came last is the thread's op, in
+// Thread.Op, Fault.Op, Fault.Stacks and ThreadInfo.LastOp alike. The
+// TaskPool ("task <name>") and deadlock-probe labels rely on this order.
+func TestOpLabelLastAnnouncementWins(t *testing.T) {
+	h := NewHeap()
+	w := sim.NewWorld(sim.Config{Seed: 1})
+	err := w.Run(func(root *sim.Thread) {
+		r := h.NewRef("conn")
+		root.SetOp("probe")
+		r.Init(root, "a.go:1")
+		if got, want := root.Op(), "init conn @ a.go:1"; got != want {
+			t.Errorf("access after SetOp: Op() = %q, want %q", got, want)
+		}
+		r.Use(root, "a.go:2")
+		root.SetOp("task flush")
+		if got, want := root.Op(), "task flush"; got != want {
+			t.Errorf("SetOp after access: Op() = %q, want %q", got, want)
+		}
+		root.Spawn("setop-last", func(c *sim.Thread) {
+			r.Use(c, "b.go:1")
+			c.SetOp("parked")
+			c.Sleep(sim.Second)
+		})
+		root.Spawn("access-last", func(c *sim.Thread) {
+			c.SetOp("parked")
+			r.UseIfLive(c, "c.go:1")
+			c.Sleep(sim.Second)
+		})
+		root.Sleep(100 * sim.Microsecond)
+		r.Dispose(root, "a.go:3")
+		r.Use(root, "a.go:4")
+	})
+	var f *sim.Fault
+	if !errors.As(err, &f) {
+		t.Fatalf("err = %v, want fault", err)
+	}
+	if got, want := f.Op, "use conn @ a.go:4"; got != want {
+		t.Errorf("Fault.Op = %q, want %q", got, want)
+	}
+	wantStacks := []string{
+		"thread 1 (main) @ use conn @ a.go:4",
+		"thread 2 (setop-last) @ parked",
+		"thread 3 (access-last) @ use conn @ c.go:1",
+	}
+	if len(f.Stacks) != len(wantStacks) {
+		t.Fatalf("Fault.Stacks = %q, want %q", f.Stacks, wantStacks)
+	}
+	for i := range wantStacks {
+		if f.Stacks[i] != wantStacks[i] {
+			t.Errorf("Fault.Stacks[%d] = %q, want %q", i, f.Stacks[i], wantStacks[i])
+		}
+	}
+	wantLast := []string{"use conn @ a.go:4", "parked", "use conn @ c.go:1"}
+	infos := w.Threads()
+	for i, ti := range infos {
+		if ti.LastOp != wantLast[i] {
+			t.Errorf("ThreadInfo[%d].LastOp = %q, want %q", i, ti.LastOp, wantLast[i])
+		}
+	}
+}
