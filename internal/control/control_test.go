@@ -150,7 +150,7 @@ func TestBudgetCapFromCampaignQuantile(t *testing.T) {
 func TestBudgetCapNeedsMinExposures(t *testing.T) {
 	c := New(Config{MinExposures: 5})
 	for i := 0; i < 4; i++ {
-		c.Target("done/"+string(rune('a'+i))).ObserveOutcome(&core.Outcome{
+		c.Target("done/" + string(rune('a'+i))).ObserveOutcome(&core.Outcome{
 			Tool: "waffle", Runs: make([]core.RunReport, 2), Bug: &core.BugReport{Run: 2}})
 	}
 	if d := c.Target("searching").TuneRun(detCtx(10, 25, 4, wetRun(9))); d.MaxRuns != 0 {

@@ -215,7 +215,7 @@ func (r *Ref) IsLive() bool { return r.state == StateLive }
 
 // enter runs the hook and charges the intrinsic op cost.
 func (r *Ref) enter(t *sim.Thread, site trace.SiteID, kind trace.Kind, dur sim.Duration) {
-	t.SetOp(fmt.Sprintf("%s %s @ %s", kind, r.name, site))
+	t.SetAccessOp(kind.String(), r.name, string(site))
 	r.heap.accessed = true
 	if r.heap.hook != nil {
 		r.heap.hook.OnAccess(t, site, r.id, kind, dur)

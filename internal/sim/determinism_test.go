@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -122,11 +123,13 @@ func TestChaosDeterminism(t *testing.T) {
 }
 
 // TestChaosNoLeaksAcrossManyWorlds: repeated chaos worlds must not strand
-// goroutines (the killAll/park protocol covers every primitive).
+// goroutines (the handoff/park protocol covers every primitive).
 func TestChaosNoLeaksAcrossManyWorlds(t *testing.T) {
+	base := runtime.NumGoroutine()
 	for seed := int64(0); seed < 30; seed++ {
 		if _, _, err := chaosRun(seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		assertNoGoroutineLeak(t, base)
 	}
 }

@@ -46,8 +46,13 @@ type Thread struct {
 	state   threadState
 	resume  chan resumeMsg
 	tls     map[TLSKey]any
-	op      string
 	wakeGen uint64
+
+	// The current operation label: op from SetOp, or, when opAccess is
+	// set, the access announced by SetAccessOp, formatted only when read.
+	op                     string
+	opAccess               bool
+	opKind, opName, opSite string
 
 	joiners []*Thread
 }
@@ -69,10 +74,24 @@ func (t *Thread) Now() Time { return t.w.now }
 
 // SetOp announces a human-readable label for the thread's current operation;
 // it appears in fault stacks and thread snapshots.
-func (t *Thread) SetOp(op string) { t.op = op }
+func (t *Thread) SetOp(op string) { t.op, t.opAccess = op, false }
+
+// SetAccessOp announces an instrumented access as the current operation.
+// It stores the parts; the label "kind name @ site" is built only when Op,
+// a Fault or a thread snapshot reads it, so announcing costs no formatting
+// on the per-access path.
+func (t *Thread) SetAccessOp(kind, name, site string) {
+	t.opAccess = true
+	t.opKind, t.opName, t.opSite = kind, name, site
+}
 
 // Op returns the last announced operation label.
-func (t *Thread) Op() string { return t.op }
+func (t *Thread) Op() string {
+	if t.opAccess {
+		return t.opKind + " " + t.opName + " @ " + t.opSite
+	}
+	return t.op
+}
 
 // TLS returns the thread-local value stored under key, or nil.
 func (t *Thread) TLS(key TLSKey) any { return t.tls[key] }
@@ -81,13 +100,14 @@ func (t *Thread) TLS(key TLSKey) any { return t.tls[key] }
 // threads at Spawn (via TLSForker when implemented).
 func (t *Thread) SetTLS(key TLSKey, v any) { t.tls[key] = v }
 
-// run is the goroutine body wrapping the user function.
+// run is the goroutine body wrapping the user function. When the function
+// returns or unwinds, the thread passes the baton on before its goroutine
+// exits: to the next thread, or back to Run.
 func (t *Thread) run(fn func(*Thread)) {
-	msg := <-t.resume
-	if msg.kill {
+	if msg := <-t.resume; msg.kill {
 		t.state = stateDone
 		t.w.alive--
-		t.w.parkCh <- struct{}{}
+		t.w.toRun <- struct{}{}
 		return
 	}
 	defer func() {
@@ -99,13 +119,17 @@ func (t *Thread) run(fn func(*Thread)) {
 					Thread: t.id,
 					Name:   t.name,
 					T:      t.w.now,
-					Op:     t.op,
+					Op:     t.Op(),
 					Stacks: t.w.stacks(t),
 				}
 			}
 		}
 		t.finish()
-		t.w.parkCh <- struct{}{}
+		if t.w.stopping {
+			t.w.toRun <- struct{}{}
+		} else {
+			t.w.handTo(t.w.step())
+		}
 	}()
 	fn(t)
 }
@@ -128,13 +152,25 @@ func (t *Thread) finish() {
 	t.joiners = nil
 }
 
-// park yields the baton to the scheduler and blocks until resumed.
-// The caller must have arranged for the thread to be woken (scheduled or
-// registered on a primitive's wait list) beforehand.
+// park gives up the baton and blocks until resumed. The caller must have
+// arranged for the thread to be woken (scheduled or registered on a
+// primitive's wait list) beforehand. The parking thread runs the
+// scheduler's step itself: if the step picks this same thread, park
+// returns at once (run-ahead); otherwise it resumes the picked thread, or
+// Run when the run is over, and waits for its own turn.
 func (t *Thread) park() {
-	t.w.parkCh <- struct{}{}
-	msg := <-t.resume
-	if msg.kill {
+	w := t.w
+	if w.stopping {
+		// killAll is unwinding this thread (a deferred call blocked);
+		// nobody will resume it, so keep unwinding.
+		panic(killSentinel{})
+	}
+	next := w.step()
+	if next == t {
+		return
+	}
+	w.handTo(next)
+	if msg := <-t.resume; msg.kill {
 		panic(killSentinel{})
 	}
 }
@@ -209,7 +245,7 @@ func (t *Thread) Throw(err error) {
 			Thread: t.id,
 			Name:   t.name,
 			T:      t.w.now,
-			Op:     t.op,
+			Op:     t.Op(),
 			Stacks: t.w.stacks(t),
 		}
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -78,12 +77,14 @@ type World struct {
 	queue    eventQueue
 	threads  map[int]*Thread
 	alive    int
-	current  *Thread
 	fault    *Fault
+	err      error // why the run ended; set by step
 	stopping bool
 	syncObs  SyncObserver
 
-	parkCh chan struct{}
+	// toRun carries the baton back to Run: once when the run is over,
+	// then once per thread killAll unwinds.
+	toRun chan struct{}
 }
 
 // NewWorld returns a World configured by cfg.
@@ -95,7 +96,7 @@ func NewWorld(cfg Config) *World {
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		threads: make(map[int]*Thread),
-		parkCh:  make(chan struct{}),
+		toRun:   make(chan struct{}),
 	}
 }
 
@@ -129,34 +130,52 @@ func (w *World) Jitter(d Duration) Duration {
 // Run creates the root thread executing main and drives the world until all
 // threads finish, a thread faults, the world deadlocks, or a limit trips.
 // It returns nil on clean completion; a *Fault satisfies errors.As.
+//
+// Run only starts the root thread. From then on the baton goes directly
+// from thread to thread: whichever thread parks or finishes runs the
+// scheduler's step itself and resumes the thread it picks (see step). The
+// baton comes back to Run when the run is over, and Run unwinds every
+// thread still alive.
 func (w *World) Run(main func(*Thread)) error {
 	if w.nextTID != 0 {
 		return errors.New("sim: World.Run called twice")
 	}
 	root := w.newThread(nil, "main", main)
 	w.schedule(root, 0)
+	if next := w.step(); next != nil {
+		next.resume <- resumeMsg{}
+		<-w.toRun
+	}
+	w.killAll()
+	return w.err
+}
 
-	var err error
+// step is one turn of the scheduler loop, run by whichever goroutine holds
+// the baton. It returns the thread to run next, or nil once the run is
+// over, with w.err saying why. Every check and every RNG draw happens in
+// the same order whichever goroutine runs it, so a seed still fixes the
+// whole run.
+func (w *World) step() *Thread {
 	for {
 		if w.fault != nil {
-			err = w.fault
-			break
+			w.err = w.fault
+			return nil
 		}
 		if w.events >= w.cfg.MaxEvents {
-			err = ErrEventLimit
-			break
+			w.err = ErrEventLimit
+			return nil
 		}
 		if w.canceled() {
-			err = ErrCanceled
-			break
+			w.err = ErrCanceled
+			return nil
 		}
-		if w.queue.Len() == 0 {
+		if len(w.queue.items) == 0 {
 			if w.alive > 0 {
-				err = ErrDeadlock
+				w.err = ErrDeadlock
 			}
-			break
+			return nil
 		}
-		it := heap.Pop(&w.queue).(*eventItem)
+		it := w.queue.pop()
 		if it.t.state == stateDone || it.gen != it.t.wakeGen {
 			// Stale entry: the thread finished, or was rescheduled after
 			// this entry was pushed (timed waits push a deadline wake that
@@ -168,13 +187,21 @@ func (w *World) Run(main func(*Thread)) error {
 			w.now = it.wake
 		}
 		if w.cfg.MaxTime > 0 && w.now > Time(w.cfg.MaxTime) {
-			err = ErrTimeout
-			break
+			w.err = ErrTimeout
+			return nil
 		}
-		w.resume(it.t, resumeMsg{})
+		it.t.state = stateRunning
+		return it.t
 	}
-	w.killAll()
-	return err
+}
+
+// handTo passes the baton to next, or back to Run when next is nil.
+func (w *World) handTo(next *Thread) {
+	if next == nil {
+		w.toRun <- struct{}{}
+		return
+	}
+	next.resume <- resumeMsg{}
 }
 
 // canceled reports whether Config.Cancel has fired.
@@ -190,16 +217,8 @@ func (w *World) canceled() bool {
 	}
 }
 
-// resume hands the baton to t and waits until it parks again.
-func (w *World) resume(t *Thread, msg resumeMsg) {
-	w.current = t
-	t.state = stateRunning
-	t.resume <- msg
-	<-w.parkCh
-	w.current = nil
-}
-
-// killAll unwinds every live thread so Run leaks no goroutines.
+// killAll unwinds every live thread so Run leaks no goroutines. Each
+// killed thread hands the baton straight back to Run.
 func (w *World) killAll() {
 	w.stopping = true
 	ids := make([]int, 0, len(w.threads))
@@ -214,7 +233,8 @@ func (w *World) killAll() {
 		if t.state == stateDone {
 			continue
 		}
-		w.resume(t, resumeMsg{kill: true})
+		t.resume <- resumeMsg{kill: true}
+		<-w.toRun
 	}
 }
 
@@ -228,7 +248,8 @@ func (w *World) schedule(t *Thread, wake Time) {
 	}
 	t.state = stateRunnable
 	t.wakeGen++
-	heap.Push(&w.queue, &eventItem{wake: wake, prio: w.rng.Uint64(), seq: w.queue.nextSeq(), gen: t.wakeGen, t: t})
+	w.queue.seq++
+	w.queue.push(eventItem{wake: wake, prio: w.rng.Uint64(), seq: w.queue.seq, gen: t.wakeGen, t: t})
 }
 
 func (w *World) newThread(parent *Thread, name string, fn func(*Thread)) *Thread {
@@ -260,7 +281,7 @@ func (w *World) newThread(parent *Thread, name string, fn func(*Thread)) *Thread
 func (w *World) stacks(first *Thread) []string {
 	var out []string
 	add := func(t *Thread) {
-		out = append(out, fmt.Sprintf("thread %d (%s) @ %s", t.id, t.name, t.op))
+		out = append(out, fmt.Sprintf("thread %d (%s) @ %s", t.id, t.name, t.Op()))
 	}
 	add(first)
 	ids := make([]int, 0, len(w.threads))
@@ -288,7 +309,7 @@ func (w *World) Threads() []ThreadInfo {
 	out := make([]ThreadInfo, 0, len(ids))
 	for _, id := range ids {
 		t := w.threads[id]
-		out = append(out, ThreadInfo{ID: t.id, Parent: t.parent, Name: t.name, Done: t.state == stateDone, LastOp: t.op})
+		out = append(out, ThreadInfo{ID: t.id, Parent: t.parent, Name: t.name, Done: t.state == stateDone, LastOp: t.Op()})
 	}
 	return out
 }
@@ -311,17 +332,7 @@ type eventItem struct {
 	t    *Thread
 }
 
-type eventQueue struct {
-	items []*eventItem
-	seq   uint64
-}
-
-func (q *eventQueue) nextSeq() uint64 { q.seq++; return q.seq }
-
-func (q *eventQueue) Len() int { return len(q.items) }
-
-func (q *eventQueue) Less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
+func (a *eventItem) before(b *eventItem) bool {
 	if a.wake != b.wake {
 		return a.wake < b.wake
 	}
@@ -331,15 +342,48 @@ func (q *eventQueue) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
+// eventQueue is a binary min-heap of eventItems held by value, so
+// scheduling allocates nothing once the backing array has grown. seq is
+// unique, so the order is total and any correct heap pops the same item.
+type eventQueue struct {
+	items []eventItem
+	seq   uint64
+}
 
-func (q *eventQueue) Push(x any) { q.items = append(q.items, x.(*eventItem)) }
+func (q *eventQueue) push(it eventItem) {
+	q.items = append(q.items, it)
+	h := q.items
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
 
-func (q *eventQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	q.items = old[:n-1]
-	return it
+func (q *eventQueue) pop() eventItem {
+	h := q.items
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = eventItem{} // drop the *Thread reference
+	h = h[:n]
+	q.items = h
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return top
 }

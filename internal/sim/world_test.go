@@ -2,8 +2,10 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRunEmptyMain(t *testing.T) {
@@ -429,10 +431,29 @@ func TestMonotonicTimeProperty(t *testing.T) {
 	}
 }
 
+// assertNoGoroutineLeak polls until runtime.NumGoroutine() is back at base.
+// A thread's goroutine passes the baton on just before it returns, so it
+// may still be exiting when Run returns; one that is blocked for good
+// keeps the count up until the deadline fails the test.
+func assertNoGoroutineLeak(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before: %d leaked", n, base, n-base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestNoGoroutineLeakAfterFault(t *testing.T) {
-	// Many worlds that fault with live threads must not accumulate stuck
-	// goroutines; killAll unwinds them. A leak would make this test hang
-	// under -race or blow up memory, so simply running it is the check.
+	// Many worlds that fault with live threads must not strand goroutines:
+	// killAll unwinds them.
+	base := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
 		w := NewWorld(Config{Seed: int64(i)})
 		_ = w.Run(func(main *Thread) {
@@ -444,6 +465,149 @@ func TestNoGoroutineLeakAfterFault(t *testing.T) {
 			}
 			main.Sleep(Millisecond)
 			main.Throw(errors.New("end"))
+		})
+		assertNoGoroutineLeak(t, base)
+	}
+}
+
+// TestNoGoroutineLeakOnEveryRunEnding ends runs every way a run can end
+// and checks that each leaves no goroutine behind. The baton goes from
+// thread to thread, so a different goroutine ends the run on each path:
+// the last thread to finish, the faulting thread's unwinding, or the
+// thread whose park finds the queue empty, a limit tripped or the run
+// canceled. It hands the baton back to Run, which then unwinds the
+// bystanders: threads blocked for good, asleep past the end, spawned but
+// never started, or blocking again in a deferred call while unwound.
+func TestNoGoroutineLeakOnEveryRunEnding(t *testing.T) {
+	boom := errors.New("boom")
+	bystanders := func(main *Thread) {
+		main.Spawn("blocked", func(t *Thread) {
+			var never Event
+			never.Wait(t)
+		})
+		main.Spawn("asleep", func(t *Thread) { t.Sleep(Second) })
+	}
+	run := func(cfg Config, body func(*Thread)) error { return NewWorld(cfg).Run(body) }
+	isNil := func(err error) bool { return err == nil }
+	isFault := func(err error) bool {
+		var f *Fault
+		return errors.As(err, &f)
+	}
+	is := func(target error) func(error) bool {
+		return func(err error) bool { return errors.Is(err, target) }
+	}
+	cases := []struct {
+		name string
+		run  func(seed int64) error
+		ok   func(error) bool
+	}{
+		{"finish-main-last", func(seed int64) error {
+			return run(Config{Seed: seed}, func(main *Thread) {
+				c := main.Spawn("child", func(t *Thread) { t.Sleep(Millisecond) })
+				main.Join(c)
+			})
+		}, isNil},
+		{"finish-child-last", func(seed int64) error {
+			return run(Config{Seed: seed}, func(main *Thread) {
+				main.Spawn("child", func(t *Thread) { t.Sleep(Millisecond) })
+			})
+		}, isNil},
+		{"throw", func(seed int64) error {
+			return run(Config{Seed: seed}, func(main *Thread) {
+				bystanders(main)
+				main.Sleep(Millisecond)
+				main.Throw(boom)
+			})
+		}, isFault},
+		{"throw-in-child", func(seed int64) error {
+			return run(Config{Seed: seed}, func(main *Thread) {
+				bystanders(main)
+				c := main.Spawn("thrower", func(t *Thread) {
+					t.Sleep(Millisecond)
+					t.Throw(boom)
+				})
+				main.Join(c)
+			})
+		}, isFault},
+		{"panic", func(seed int64) error {
+			return run(Config{Seed: seed}, func(main *Thread) {
+				bystanders(main)
+				main.Sleep(Millisecond)
+				panic("kaboom")
+			})
+		}, isFault},
+		{"deadlock", func(seed int64) error {
+			var m1, m2 Mutex
+			return run(Config{Seed: seed}, func(main *Thread) {
+				bystanders(main)
+				a := main.Spawn("a", func(t *Thread) {
+					m1.Lock(t)
+					t.Sleep(Millisecond)
+					m2.Lock(t)
+				})
+				b := main.Spawn("b", func(t *Thread) {
+					m2.Lock(t)
+					t.Sleep(Millisecond)
+					m1.Lock(t)
+				})
+				main.Join(a)
+				main.Join(b)
+			})
+		}, is(ErrDeadlock)},
+		{"max-time", func(seed int64) error {
+			return run(Config{Seed: seed, MaxTime: 10 * Millisecond}, func(main *Thread) {
+				bystanders(main)
+				for {
+					main.Sleep(Millisecond)
+				}
+			})
+		}, is(ErrTimeout)},
+		{"max-events", func(seed int64) error {
+			return run(Config{Seed: seed, MaxEvents: 100}, func(main *Thread) {
+				bystanders(main)
+				for {
+					main.Yield()
+				}
+			})
+		}, is(ErrEventLimit)},
+		{"cancel", func(seed int64) error {
+			cancel := make(chan struct{})
+			return run(Config{Seed: seed, Cancel: cancel}, func(main *Thread) {
+				bystanders(main)
+				main.Sleep(Millisecond)
+				close(cancel)
+				main.Sleep(Millisecond)
+			})
+		}, is(ErrCanceled)},
+		{"children-never-ran", func(seed int64) error {
+			return run(Config{Seed: seed}, func(main *Thread) {
+				for i := 0; i < 3; i++ {
+					main.Spawn("unstarted", func(t *Thread) { t.Sleep(Millisecond) })
+				}
+				main.Throw(boom)
+			})
+		}, isFault},
+		{"blocking-defer", func(seed int64) error {
+			return run(Config{Seed: seed}, func(main *Thread) {
+				main.Spawn("defers", func(t *Thread) {
+					defer t.Sleep(Millisecond)
+					var never Event
+					never.Wait(t)
+				})
+				main.Sleep(Millisecond)
+				main.Throw(boom)
+			})
+		}, isFault},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for seed := int64(0); seed < 20; seed++ {
+				if err := c.run(seed); !c.ok(err) {
+					t.Fatalf("seed %d: Run = %v", seed, err)
+				}
+				assertNoGoroutineLeak(t, base)
+			}
 		})
 	}
 }

@@ -2,19 +2,25 @@ package trace
 
 import "sync/atomic"
 
-// shardChunkEvents is the fixed chunk size of a Shard. At 1024 events a
-// chunk is ~72 KiB on 64-bit platforms: large enough that the amortized
-// allocation cost of recording drops to ~1/1024 allocs per event, small
-// enough that a short run does not over-commit memory.
-const shardChunkEvents = 1024
+// Chunk sizes of a Shard. A shard that retains its events opens with a
+// shardFirstEvents chunk and doubles it up to shardChunkEvents, so a short
+// run (a generated program records ~60 events) allocates a few KiB rather
+// than one full chunk. At 1024 events a chunk is ~72 KiB on 64-bit
+// platforms: large enough that the amortized allocation cost of recording
+// drops to ~1/1024 allocs per event.
+const (
+	shardFirstEvents = 64
+	shardChunkEvents = 1024
+)
 
-// Shard is a single-writer chunked event buffer: the per-thread building
-// block of the Recorder and of the live runtime's per-goroutine trace
-// shards. Events are appended into fixed-size chunks; once a chunk fills it
-// is sealed and a fresh one is allocated, so the steady-state cost of
-// Append is one slot store — no per-event allocation and no grow-by-copy of
-// previously recorded events (the failure mode of a single append-grown
-// slice, which re-copies the whole history every doubling).
+// Shard is a single-writer chunked event buffer: the building block of the
+// Recorder and of the live runtime's per-goroutine trace shards. Events are
+// appended into chunks; once a full-size chunk fills it is sealed and a
+// fresh one is allocated, so the steady-state cost of Append is one slot
+// store — no per-event allocation and no grow-by-copy of previously
+// recorded events (the failure mode of a single append-grown slice, which
+// re-copies the whole history every doubling). Only the open chunk is ever
+// copied, while it grows towards full size.
 //
 // Clock pointers are stored as-is: vclock.Clock is immutable, so sharing
 // the pointer across every event a thread records between two forks is
@@ -29,7 +35,8 @@ const shardChunkEvents = 1024
 //
 //   - OnChunk, when set before the first Append, receives each filled
 //     chunk instead of the shard retaining it — the handoff point into a
-//     ring buffer feeding a merger goroutine. Flush emits the final,
+//     ring buffer feeding a merger goroutine. A streaming shard uses
+//     full-size chunks from the first event. Flush emits the final,
 //     partially filled chunk once the writer has stopped.
 //   - Seal marks the shard closed from ANY goroutine: the writer's
 //     subsequent Appends are dropped (counted via OnDrop) instead of
@@ -38,7 +45,7 @@ const shardChunkEvents = 1024
 //     events into a shard the detector has walked away from.
 type Shard struct {
 	full [][]Event // sealed chunks, each exactly shardChunkEvents long
-	cur  []Event   // open chunk being filled; cap is shardChunkEvents
+	cur  []Event   // open chunk being filled; cap grows to shardChunkEvents
 
 	// OnChunk, when non-nil, receives every filled chunk in append order
 	// (called from the writer goroutine); the shard retains nothing. Set
@@ -56,10 +63,11 @@ type Shard struct {
 	dropped atomic.Int64
 }
 
-// Append records one event. Amortized zero-allocation: only every
-// shardChunkEvents-th call allocates (a fresh chunk). It reports whether
-// the event was recorded — false once the shard has been Sealed, in which
-// case the event is dropped and counted instead.
+// Append records one event. Amortized zero-allocation: past the first
+// shardChunkEvents events only every shardChunkEvents-th call allocates (a
+// fresh chunk). It reports whether the event was recorded — false once the
+// shard has been Sealed, in which case the event is dropped and counted
+// instead.
 func (s *Shard) Append(e Event) bool {
 	if s.sealed.Load() {
 		s.dropped.Add(1)
@@ -69,17 +77,32 @@ func (s *Shard) Append(e Event) bool {
 		return false
 	}
 	if len(s.cur) == cap(s.cur) {
-		if s.cur != nil {
-			if s.OnChunk != nil {
-				s.OnChunk(s.cur)
-			} else {
-				s.full = append(s.full, s.cur)
-			}
-		}
-		s.cur = make([]Event, 0, shardChunkEvents)
+		s.nextChunk()
 	}
 	s.cur = append(s.cur, e)
 	return true
+}
+
+// nextChunk makes room in a full open chunk: a retaining shard below full
+// size doubles it; otherwise the chunk is sealed (or handed to OnChunk)
+// and a fresh full-size one opens.
+func (s *Shard) nextChunk() {
+	if s.OnChunk == nil && cap(s.cur) < shardChunkEvents {
+		size := shardFirstEvents
+		if s.cur != nil {
+			size = 2 * cap(s.cur)
+		}
+		s.cur = append(make([]Event, 0, size), s.cur...)
+		return
+	}
+	if s.cur != nil {
+		if s.OnChunk != nil {
+			s.OnChunk(s.cur)
+		} else {
+			s.full = append(s.full, s.cur)
+		}
+	}
+	s.cur = make([]Event, 0, shardChunkEvents)
 }
 
 // Seal closes the shard: every later Append is dropped (and counted)
@@ -121,20 +144,4 @@ func (s *Shard) AppendTo(dst []Event) []Event {
 		dst = append(dst, c...)
 	}
 	return append(dst, s.cur...)
-}
-
-// scatter places every buffered event at dst[e.Seq]. The Recorder stamps
-// Seq in global record order before the event reaches its shard, so
-// scattering all shards into one pre-sized slice reconstructs the exact
-// interleaved order a single append-grown recorder would have produced —
-// which is what keeps merged traces byte-identical through the codecs.
-func (s *Shard) scatter(dst []Event) {
-	for _, c := range s.full {
-		for i := range c {
-			dst[c[i].Seq] = c[i]
-		}
-	}
-	for i := range s.cur {
-		dst[s.cur[i].Seq] = s.cur[i]
-	}
 }

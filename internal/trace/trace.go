@@ -108,26 +108,18 @@ type Trace struct {
 // Recorder accumulates events during a run. It implements the hook half of
 // the preparation phase: no delays, just logging. The zero value is ready.
 //
-// Events are buffered in per-thread chunked Shards rather than one
-// append-grown slice, so the recording hot path performs no per-event
-// allocation after each thread's first chunk is warm (and never re-copies
-// the recorded history the way slice doubling does). Every event is stamped
-// with a dense global Seq before it reaches its shard; Finish scatters the
-// shards back into Seq order, so the merged trace is byte-identical —
-// through every codec — to what a single append-order recorder would have
-// produced.
+// A run's events reach the Recorder from one writer at a time (the sim
+// thread holding the baton) and already in global order, so they go into
+// a single chunked Shard: recording allocates nothing per event, never
+// re-copies the recorded history the way slice doubling does, and a short
+// run allocates only the shard's small first chunk. Finish copies the
+// shard into one slice of exactly the recorded length.
 type Recorder struct {
 	label string
 	seed  int64
 
-	n      int            // events recorded so far; also the next Seq
-	shards map[int]*Shard // per-thread chunk buffers, keyed by TID
-
-	// last caches the shard of the most recent event's thread: runs are
-	// bursts of same-thread activity, so this skips the map lookup on the
-	// common path. Valid only when non-nil.
-	last    *Shard
-	lastTID int
+	n     int // events recorded so far; also the next Seq
+	shard Shard
 
 	finished bool
 }
@@ -152,8 +144,8 @@ func (r *Recorder) Record(t *sim.Thread, site SiteID, obj ObjID, kind Kind, dur 
 }
 
 // RecordEvent is the raw recording hot path: it stamps e.Seq with the next
-// global position and appends e to its thread's shard. Callers that are not
-// sim threads (tests, fuzz-seed builders) fill the remaining fields
+// global position and appends e to the shard. Callers that are not sim
+// threads (tests, fuzz-seed builders) fill the remaining fields
 // themselves. It panics if the recorder was Finished.
 func (r *Recorder) RecordEvent(e Event) {
 	if r.finished {
@@ -161,24 +153,13 @@ func (r *Recorder) RecordEvent(e Event) {
 	}
 	e.Seq = r.n
 	r.n++
-	s := r.last
-	if s == nil || e.TID != r.lastTID {
-		if s = r.shards[e.TID]; s == nil {
-			if r.shards == nil {
-				r.shards = make(map[int]*Shard)
-			}
-			s = new(Shard)
-			r.shards[e.TID] = s
-		}
-		r.last, r.lastTID = s, e.TID
-	}
-	s.Append(e)
+	r.shard.Append(e)
 }
 
-// Finish merges the per-thread shards into one Seq-ordered event slice,
-// stamps the run's end time, and returns the completed trace. The recorder
-// must not be reused afterwards: a second Finish, or any Record after
-// Finish, panics.
+// Finish copies the recorded events into one Seq-ordered slice, stamps the
+// run's end time, and returns the completed trace. The recorder must not
+// be reused afterwards: a second Finish, or any Record after Finish,
+// panics.
 func (r *Recorder) Finish(end sim.Time) *Trace {
 	if r.finished {
 		panic("trace: Finish called twice — a finished Recorder must not be reused")
@@ -186,12 +167,9 @@ func (r *Recorder) Finish(end sim.Time) *Trace {
 	r.finished = true
 	var evs []Event
 	if r.n > 0 {
-		evs = make([]Event, r.n)
-		for _, s := range r.shards {
-			s.scatter(evs)
-		}
+		evs = r.shard.AppendTo(make([]Event, 0, r.n))
 	}
-	r.shards, r.last = nil, nil
+	r.shard = Shard{}
 	return &Trace{Label: r.label, Seed: r.seed, End: end, Events: evs}
 }
 
@@ -200,16 +178,16 @@ func (r *Recorder) Len() int { return r.n }
 
 // Stats summarizes a trace for reports and Table 2-style site counting.
 type Stats struct {
-	Events       int
-	Threads      int
-	Objects      int
-	MemSites     int // unique static sites with MemOrder kinds
-	APISites     int // unique static sites with API kinds
+	Events        int
+	Threads       int
+	Objects       int
+	MemSites      int // unique static sites with MemOrder kinds
+	APISites      int // unique static sites with API kinds
 	InitEvents    int
 	UseEvents     int
 	DisposeEvents int
 	APIEvents     int
-	End          sim.Time
+	End           sim.Time
 }
 
 // ComputeStats scans the trace once and aggregates Stats.

@@ -56,13 +56,29 @@ func Join(a, b *Clock) *Clock {
 	if b == nil {
 		return a
 	}
-	vals := make(map[int]int64, len(a.vals)+len(b.vals))
-	for tid, v := range a.vals {
-		vals[tid] = v
-	}
-	for tid, v := range b.vals {
-		if v > vals[tid] {
-			vals[tid] = v
+	av, bv := a.vals, b.vals
+	vals := make([]Entry, 0, len(av)+len(bv))
+	i, j := 0, 0
+	for i < len(av) || j < len(bv) {
+		switch {
+		case j == len(bv) || i < len(av) && av[i].TID < bv[j].TID:
+			vals = append(vals, av[i])
+			i++
+		case i == len(av) || bv[j].TID < av[i].TID:
+			// An absent component reads 0, so only a positive counter
+			// raises it.
+			if bv[j].Counter > 0 {
+				vals = append(vals, bv[j])
+			}
+			j++
+		default:
+			e := av[i]
+			if bv[j].Counter > e.Counter {
+				e.Counter = bv[j].Counter
+			}
+			vals = append(vals, e)
+			i++
+			j++
 		}
 	}
 	return &Clock{own: a.own, vals: vals}
@@ -71,12 +87,7 @@ func Join(a, b *Clock) *Clock {
 // bumpOwn returns a copy with the owner's component incremented — events
 // after a release must not appear ordered before the acquirer's.
 func (c *Clock) bumpOwn() *Clock {
-	vals := make(map[int]int64, len(c.vals))
-	for tid, v := range c.vals {
-		vals[tid] = v
-	}
-	vals[c.own]++
-	return &Clock{own: c.own, vals: vals}
+	return &Clock{own: c.own, vals: c.withCounter(c.own, c.Get(c.own)+1)}
 }
 
 // withOwner returns a copy owned by own (Join keeps the first operand's

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"waffle/internal/live"
-	"waffle/internal/trace"
 )
 
 // LiveBody materializes the spec as a live scenario body — the wall-clock
@@ -36,19 +35,12 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 		t.Sleep(time.Duration(d) * time.Microsecond)
 	}
 	return func(root *live.Thread, h *live.Heap) {
-		site := func(parts ...any) trace.SiteID {
-			label := s.Prefix
-			for _, p := range parts {
-				label += fmt.Sprintf("/%v", p)
-			}
-			return trace.SiteID(label)
-		}
 		spacing := int(s.Spacing)
 
 		preFork := make([]*live.Ref, s.PreForkObjs)
 		for i := range preFork {
 			preFork[i] = h.NewRef(fmt.Sprintf("prefork%d", i))
-			preFork[i].Init(root, site("prefork", i, "init"))
+			preFork[i].Init(root, siteID(s.Prefix, "prefork", i, "init"))
 		}
 		shared := make([]*live.Ref, s.SharedObjs)
 		for i := range shared {
@@ -71,7 +63,7 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 				// candidate class fork-clock pruning removes.
 				for pi := range preFork {
 					pause(t, spacing)
-					preFork[pi].Use(t, site("prefork", pi, "use", ti))
+					preFork[pi].Use(t, siteID(s.Prefix, "prefork", pi, "use", ti))
 				}
 
 				// Private object churn: instrumentation-site volume with
@@ -79,13 +71,13 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 				locals := make([]*live.Ref, s.LocalObjs)
 				for li := range locals {
 					locals[li] = h.NewRef(fmt.Sprintf("w%d-local%d", ti, li))
-					locals[li].Init(t, site("w", ti, "local", li, "init"))
+					locals[li].Init(t, siteID(s.Prefix, "w", ti, "local", li, "init"))
 					for op := 0; op < s.LocalOps; op++ {
 						pause(t, spacing)
-						locals[li].Use(t, site("w", ti, "local", li, "use", op%s.SiteFanout))
+						locals[li].Use(t, siteID(s.Prefix, "w", ti, "local", li, "use", op%s.SiteFanout))
 					}
 					pause(t, spacing)
-					locals[li].Dispose(t, site("w", ti, "local", li, "disp"))
+					locals[li].Dispose(t, siteID(s.Prefix, "w", ti, "local", li, "disp"))
 				}
 
 				// Synchronized-disposal objects: genuinely ordered
@@ -94,13 +86,13 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 					owner := oi % s.Threads
 					if ti == owner {
 						pause(t, spacing)
-						synced[oi].Init(t, site("synced", oi, "init"))
+						synced[oi].Init(t, siteID(s.Prefix, "synced", oi, "init"))
 						syncedWGs[oi].Wait()
 						pause(t, spacing)
-						synced[oi].Dispose(t, site("synced", oi, "disp"))
+						synced[oi].Dispose(t, siteID(s.Prefix, "synced", oi, "disp"))
 					} else {
 						pause(t, spacing)
-						synced[oi].UseIfLive(t, site("synced", oi, "use", ti))
+						synced[oi].UseIfLive(t, siteID(s.Prefix, "synced", oi, "use", ti))
 						syncedWGs[oi].Done()
 					}
 				}
@@ -112,13 +104,13 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 					owner := oi % s.Threads
 					if ti == owner {
 						pause(t, spacing)
-						shared[oi].Init(t, site("shared", oi, "init"))
+						shared[oi].Init(t, siteID(s.Prefix, "shared", oi, "init"))
 						pause(t, spacing*max(1, s.SharedUses-1))
-						shared[oi].Dispose(t, site("shared", oi, "disp"))
+						shared[oi].Dispose(t, siteID(s.Prefix, "shared", oi, "disp"))
 					} else {
 						for u := 0; u < s.SharedUses; u++ {
 							pause(t, spacing)
-							shared[oi].UseIfLive(t, site("shared", oi, "use", ti, u%s.SiteFanout))
+							shared[oi].UseIfLive(t, siteID(s.Prefix, "shared", oi, "use", ti, u%s.SiteFanout))
 						}
 					}
 				}
@@ -128,7 +120,7 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 			root.Join(hnd)
 		}
 		for i := range preFork {
-			preFork[i].Dispose(root, site("prefork", i, "disp"))
+			preFork[i].Dispose(root, siteID(s.Prefix, "prefork", i, "disp"))
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"waffle/internal/memmodel"
 	"waffle/internal/sim"
-	"waffle/internal/trace"
 )
 
 // TaskSpec describes a synthetic test whose concurrency comes from a task
@@ -54,19 +53,12 @@ func (s TaskSpec) withDefaults() TaskSpec {
 func (s TaskSpec) Body() func(*sim.Thread, *memmodel.Heap) {
 	s = s.withDefaults()
 	return func(root *sim.Thread, h *memmodel.Heap) {
-		site := func(parts ...any) trace.SiteID {
-			label := s.Prefix
-			for _, p := range parts {
-				label += fmt.Sprintf("/%v", p)
-			}
-			return trace.SiteID(label)
-		}
 		pool := sim.NewTaskPool(root, s.Workers, s.Prefix)
 
 		preSubmit := make([]*memmodel.Ref, s.PreSubmitObjs)
 		for i := range preSubmit {
 			preSubmit[i] = h.NewRef(fmt.Sprintf("pre%d", i))
-			preSubmit[i].Init(root, site("pre", i, "init"))
+			preSubmit[i].Init(root, siteID(s.Prefix, "pre", i, "init"))
 		}
 
 		for oi := 0; oi < s.SharedObjs; oi++ {
@@ -74,16 +66,16 @@ func (s TaskSpec) Body() func(*sim.Thread, *memmodel.Heap) {
 			oi := oi
 			initTask := pool.Submit(root, "init", func(t *sim.Thread) {
 				t.Work(s.Spacing)
-				obj.Init(t, site("obj", oi, "init"))
+				obj.Init(t, siteID(s.Prefix, "obj", oi, "init"))
 			})
 			var useTasks []*sim.TaskHandle
 			for u := 0; u < s.UsesPerObj; u++ {
 				u := u
 				useTasks = append(useTasks, pool.Submit(root, "use", func(t *sim.Thread) {
 					t.Work(s.Spacing)
-					obj.UseIfLive(t, site("obj", oi, "use", u))
+					obj.UseIfLive(t, siteID(s.Prefix, "obj", oi, "use", u))
 					for pi := range preSubmit {
-						preSubmit[pi].Use(t, site("pre", pi, "use"))
+						preSubmit[pi].Use(t, siteID(s.Prefix, "pre", pi, "use"))
 					}
 				}))
 			}
@@ -93,13 +85,13 @@ func (s TaskSpec) Body() func(*sim.Thread, *memmodel.Heap) {
 			}
 			dispose := pool.Submit(root, "dispose", func(t *sim.Thread) {
 				t.Work(s.Spacing)
-				obj.Dispose(t, site("obj", oi, "disp"))
+				obj.Dispose(t, siteID(s.Prefix, "obj", oi, "disp"))
 			})
 			dispose.Wait(root)
 		}
 
 		for i := range preSubmit {
-			preSubmit[i].Dispose(root, site("pre", i, "disp"))
+			preSubmit[i].Dispose(root, siteID(s.Prefix, "pre", i, "disp"))
 		}
 		pool.Shutdown(root)
 		pool.Join(root)

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"waffle/internal/memmodel"
 	"waffle/internal/sim"
@@ -113,18 +114,10 @@ func (s Spec) withDefaults() Spec {
 func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 	s = s.withDefaults()
 	return func(root *sim.Thread, h *memmodel.Heap) {
-		site := func(parts ...any) string {
-			label := s.Prefix
-			for _, p := range parts {
-				label += fmt.Sprintf("/%v", p)
-			}
-			return label
-		}
-
 		preFork := make([]*memmodel.Ref, s.PreForkObjs)
 		for i := range preFork {
 			preFork[i] = h.NewRef(fmt.Sprintf("prefork%d", i))
-			preFork[i].Init(root, trace.SiteID(site("prefork", i, "init")))
+			preFork[i].Init(root, siteID(s.Prefix, "prefork", i, "init"))
 		}
 		shared := make([]*memmodel.Ref, s.SharedObjs)
 		for i := range shared {
@@ -154,7 +147,7 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 				// candidate class §4.1's parent-child pruning removes.
 				for pi := range preFork {
 					t.Work(s.Spacing)
-					preFork[pi].Use(t, trace.SiteID(site("prefork", pi, "use", ti)))
+					preFork[pi].Use(t, siteID(s.Prefix, "prefork", pi, "use", ti))
 				}
 
 				// Private object churn: instrumentation-site volume with
@@ -162,13 +155,13 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 				locals := make([]*memmodel.Ref, s.LocalObjs)
 				for li := range locals {
 					locals[li] = h.NewRef(fmt.Sprintf("w%d-local%d", ti, li))
-					locals[li].Init(t, trace.SiteID(site("w", ti, "local", li, "init")))
+					locals[li].Init(t, siteID(s.Prefix, "w", ti, "local", li, "init"))
 					for op := 0; op < s.LocalOps; op++ {
 						t.Work(s.Spacing)
-						locals[li].Use(t, trace.SiteID(site("w", ti, "local", li, "use", op%s.SiteFanout)))
+						locals[li].Use(t, siteID(s.Prefix, "w", ti, "local", li, "use", op%s.SiteFanout))
 					}
 					t.Work(s.Spacing)
-					locals[li].Dispose(t, trace.SiteID(site("w", ti, "local", li, "disp")))
+					locals[li].Dispose(t, siteID(s.Prefix, "w", ti, "local", li, "disp"))
 				}
 
 				// Thread-unsafe API traffic (threads are still roughly in
@@ -180,7 +173,7 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 						obj = apiObjs[c%s.APIObjs]
 					}
 					write := c%3 != 0
-					obj.APICall(t, trace.SiteID(site("api", ti, c%max(1, s.APISites))), write, s.APIDur)
+					obj.APICall(t, siteID(s.Prefix, "api", ti, c%max(1, s.APISites)), write, s.APIDur)
 				}
 
 				// Synchronized-disposal objects: the owner initializes, the
@@ -191,13 +184,13 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 					owner := oi % s.Threads
 					if ti == owner {
 						t.Work(s.Spacing)
-						synced[oi].Init(t, trace.SiteID(site("synced", oi, "init")))
+						synced[oi].Init(t, siteID(s.Prefix, "synced", oi, "init"))
 						syncedWGs[oi].Wait(t)
 						t.Work(s.Spacing)
-						synced[oi].Dispose(t, trace.SiteID(site("synced", oi, "disp")))
+						synced[oi].Dispose(t, siteID(s.Prefix, "synced", oi, "disp"))
 					} else {
 						t.Work(s.Spacing)
-						synced[oi].UseIfLive(t, trace.SiteID(site("synced", oi, "use", ti)))
+						synced[oi].UseIfLive(t, siteID(s.Prefix, "synced", oi, "use", ti))
 						syncedWGs[oi].Done(t)
 					}
 				}
@@ -213,13 +206,13 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 					owner := oi % s.Threads
 					if ti == owner {
 						t.Work(s.Spacing)
-						shared[oi].Init(t, trace.SiteID(site("shared", oi, "init")))
+						shared[oi].Init(t, siteID(s.Prefix, "shared", oi, "init"))
 						t.Work(s.Spacing * sim.Duration(max(1, s.SharedUses-1)))
-						shared[oi].Dispose(t, trace.SiteID(site("shared", oi, "disp")))
+						shared[oi].Dispose(t, siteID(s.Prefix, "shared", oi, "disp"))
 					} else {
 						for u := 0; u < s.SharedUses; u++ {
 							t.Work(s.Spacing)
-							shared[oi].UseIfLive(t, trace.SiteID(site("shared", oi, "use", ti, u%s.SiteFanout)))
+							shared[oi].UseIfLive(t, siteID(s.Prefix, "shared", oi, "use", ti, u%s.SiteFanout))
 						}
 					}
 				}
@@ -227,7 +220,29 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 		}
 		wg.Wait(root)
 		for i := range preFork {
-			preFork[i].Dispose(root, trace.SiteID(site("prefork", i, "disp")))
+			preFork[i].Dispose(root, siteID(s.Prefix, "prefork", i, "disp"))
 		}
 	}
+}
+
+// siteID joins prefix and parts with '/' into a static site label, e.g.
+// siteID("app/t1", "w", 2, "init") is "app/t1/w/2/init". Parts are strings
+// or ints. Bodies build a label on every access, so this appends with
+// strconv instead of formatting with fmt and allocates once per label (for
+// labels up to 128 bytes).
+func siteID(prefix string, parts ...any) trace.SiteID {
+	var buf [128]byte
+	b := append(buf[:0], prefix...)
+	for _, p := range parts {
+		b = append(b, '/')
+		switch v := p.(type) {
+		case string:
+			b = append(b, v...)
+		case int:
+			b = strconv.AppendInt(b, int64(v), 10)
+		default:
+			panic(fmt.Sprintf("workload: site part %v of type %T", p, p))
+		}
+	}
+	return trace.SiteID(b)
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"waffle/internal/core"
@@ -196,5 +197,33 @@ func TestTaskWorkloadSurvivesWaffleDetection(t *testing.T) {
 	s := &core.Session{Prog: prog, Tool: core.NewWaffle(core.Options{}), MaxRuns: 5, BaseSeed: 3}
 	if out := s.Expose(); out.Bug != nil {
 		t.Fatalf("task noise workload produced a bug: %v", out.Bug)
+	}
+}
+
+var siteSink trace.SiteID
+
+// TestSiteIDMatchesFmtAndAllocatesOnce pins the site-label helper to the
+// labels the bodies used to build with fmt ("/%v" per part), byte for
+// byte, at one allocation per label.
+func TestSiteIDMatchesFmtAndAllocatesOnce(t *testing.T) {
+	for _, parts := range [][]any{
+		{},
+		{"prefork", 3, "init"},
+		{"w", 12, "local", 300, "use", 7},
+		{"api", -1, 1 << 40, ""},
+	} {
+		want := "Some.App/test-001"
+		for _, p := range parts {
+			want += fmt.Sprintf("/%v", p)
+		}
+		if got := siteID("Some.App/test-001", parts...); string(got) != want {
+			t.Errorf("siteID(%v) = %q, want %q", parts, got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		siteSink = siteID("Some.App/test-001", "w", 12, "local", 300, "use", 7)
+	})
+	if allocs != 1 {
+		t.Fatalf("siteID allocates %v times per label, want 1", allocs)
 	}
 }
