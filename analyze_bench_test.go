@@ -80,11 +80,12 @@ func BenchmarkAnalyzeSequential(b *testing.B) {
 }
 
 // BenchmarkRecorderRecord measures the recording hot path: RecordEvent
-// into per-thread chunked shards. allocs/op must report 0 — only one chunk
-// allocation per shardChunkEvents appends, which rounds away — and
-// events/sec is the recorder throughput number published to
-// BENCH_analyze.json. The recorder is swapped out every 2^20 events (off
-// the timer) to bound the benchmark's memory footprint at large b.N.
+// into the recorder's single chunked shard. allocs/op must report 0 — past
+// the first chunk's growth from 64 to 1024 events only one chunk
+// allocation per 1024 appends, which rounds away — and events/sec is the
+// recorder throughput number published to BENCH_analyze.json. The
+// recorder is swapped out every 2^20 events (off the timer) to bound the
+// benchmark's memory footprint at large b.N.
 func BenchmarkRecorderRecord(b *testing.B) {
 	clk := vclock.New(1)
 	rec := trace.NewRecorder("bench", 1)

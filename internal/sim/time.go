@@ -3,11 +3,11 @@
 //
 // A World owns a discrete-event clock and a set of cooperatively scheduled
 // Threads (each backed by a goroutine, but only one ever runs at a time — a
-// scheduler "baton" is handed back and forth over channels). Virtual time
-// advances only when every runnable thread has parked, which makes runs with
-// the same seed bit-for-bit reproducible while still exhibiting realistic
-// interleavings: ties at equal virtual time are broken by a seeded RNG, and
-// operation durations carry seeded jitter.
+// scheduler "baton" is handed from thread to thread over channels).
+// Virtual time advances only when every runnable thread has parked, which
+// makes runs with the same seed bit-for-bit reproducible while still
+// exhibiting realistic interleavings: ties at equal virtual time are
+// broken by a seeded RNG, and operation durations carry seeded jitter.
 //
 // The substrate replaces the physical time that the Waffle paper depends on
 // (near-miss windows, delay lengths, overhead ratios are all functions of

@@ -135,3 +135,39 @@ func TestShardOnChunkStreaming(t *testing.T) {
 		t.Fatalf("Flush on empty open chunk emitted a chunk")
 	}
 }
+
+// TestShardGrowsFirstChunk pins the chunk sizes: a retaining shard opens
+// with shardFirstEvents slots and doubles its open chunk up to
+// shardChunkEvents before it seals any, so a short run allocates a small
+// chunk; a streaming shard hands off full-size chunks from the start.
+func TestShardGrowsFirstChunk(t *testing.T) {
+	var s Shard
+	for i := 0; i < shardChunkEvents+1; i++ {
+		s.Append(Event{Seq: i})
+		want := shardFirstEvents
+		for want < i+1 {
+			want *= 2
+		}
+		if i >= shardChunkEvents {
+			want = shardChunkEvents
+		}
+		if got := cap(s.cur); got != want {
+			t.Fatalf("after %d events the open chunk holds %d, want %d", i+1, got, want)
+		}
+	}
+	if len(s.full) != 1 || len(s.full[0]) != shardChunkEvents || len(s.cur) != 1 {
+		t.Fatalf("sealed %d chunks and %d open events, want one full chunk and 1", len(s.full), len(s.cur))
+	}
+	for i, e := range s.AppendTo(nil) {
+		if e.Seq != i {
+			t.Fatalf("event %d has Seq %d", i, e.Seq)
+		}
+	}
+
+	var streamed Shard
+	streamed.OnChunk = func([]Event) {}
+	streamed.Append(Event{})
+	if got := cap(streamed.cur); got != shardChunkEvents {
+		t.Fatalf("streaming shard opened a %d-event chunk, want %d", got, shardChunkEvents)
+	}
+}

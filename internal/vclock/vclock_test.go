@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -246,5 +247,78 @@ func TestLeqPartialOrderProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClockMatchesMapModel checks the TID-sorted tuple slice against the
+// map semantics clocks are defined by: tuples may come in any order, the
+// last of several with one TID counts, and an absent component reads 0.
+// Snapshots, comparisons, joins and forks must agree with the model on
+// arbitrary tuples, including duplicate TIDs and non-positive counters.
+func TestClockMatchesMapModel(t *testing.T) {
+	type model map[int]int64
+	build := func(raw []int8) ([]Entry, model) {
+		var entries []Entry
+		m := model{}
+		for i := 0; i+1 < len(raw); i += 2 {
+			e := Entry{TID: int(raw[i]) % 8, Counter: int64(raw[i+1]) % 4}
+			entries = append(entries, e)
+			m[e.TID] = e.Counter
+		}
+		return entries, m
+	}
+	snapshot := func(m model) []Entry {
+		out := make([]Entry, 0, len(m))
+		for tid, c := range m {
+			out = append(out, Entry{TID: tid, Counter: c})
+		}
+		slices.SortFunc(out, func(a, b Entry) int { return a.TID - b.TID })
+		return out
+	}
+	leq := func(a, b model) bool {
+		for tid, v := range a {
+			if v > b[tid] {
+				return false
+			}
+		}
+		return true
+	}
+	join := func(a, b model) model {
+		out := model{}
+		for tid, v := range a {
+			out[tid] = v
+		}
+		for tid, v := range b {
+			if v > out[tid] {
+				out[tid] = v
+			}
+		}
+		return out
+	}
+	with := func(m model, tid int, c int64) model {
+		out := join(m, nil)
+		out[tid] = c
+		return out
+	}
+	const own, childID = 3, 9
+	check := func(ra, rb []int8) bool {
+		ea, ma := build(ra)
+		eb, mb := build(rb)
+		a, b := FromSnapshot(own, ea), FromSnapshot(own, eb)
+		child, advanced := Fork(a, childID)
+		ok := slices.Equal(a.Snapshot(), snapshot(ma)) &&
+			a.Len() == len(ma) &&
+			a.Leq(b) == leq(ma, mb) &&
+			Equal(a, b) == slices.Equal(snapshot(ma), snapshot(mb)) &&
+			slices.Equal(Join(a, b).Snapshot(), snapshot(join(ma, mb))) &&
+			slices.Equal(child.Snapshot(), snapshot(with(ma, childID, 1))) &&
+			slices.Equal(advanced.Snapshot(), snapshot(with(ma, own, ma[own]+1)))
+		for tid := -8; tid <= 8; tid++ {
+			ok = ok && a.Get(tid) == ma[tid]
+		}
+		return ok
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
