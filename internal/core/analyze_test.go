@@ -254,10 +254,11 @@ func planBytes(t *testing.T, plan *Plan) []byte {
 }
 
 // Pass 1's inner loop breaks as soon as a partner is a full window ahead —
-// which is only sound because ByObject lists inherit the trace's time
-// order. This test documents the dependency: on an out-of-order trace the
-// early break silently drops a genuine near miss, and TimeSorted is the
-// guard callers of externally loaded traces must use.
+// which is only sound because each object's events, kept in trace order,
+// are then in time order too. This test documents the dependency: on an
+// out-of-order trace the early break silently drops a genuine near miss,
+// and TimeSorted is the guard callers of externally loaded traces must
+// use.
 func TestAnalyzeEarlyBreakRequiresTimeSortedTrace(t *testing.T) {
 	unsorted := mkTrace(
 		ev(0, 0, 1, "ctor", 1, trace.KindInit),

@@ -237,15 +237,6 @@ func (t *Trace) TimeSorted() bool {
 	return true
 }
 
-// ByObject groups event indexes by object id, preserving trace order.
-func (t *Trace) ByObject() map[ObjID][]int {
-	out := make(map[ObjID][]int)
-	for i, e := range t.Events {
-		out[e.Obj] = append(out[e.Obj], i)
-	}
-	return out
-}
-
 // DynamicInstances counts, per static site, how many times it executed.
 // §3.3: the median for initialization sites is ~2 per run, which is why
 // same-run identification cannot help MemOrder bugs.

@@ -91,24 +91,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestByObjectGrouping(t *testing.T) {
-	tr := sample(t, 1)
-	groups := tr.ByObject()
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(groups))
-	}
-	if got := len(groups[1]); got != 3 {
-		t.Fatalf("object 1 has %d events, want 3", got)
-	}
-	for _, idxs := range groups {
-		for i := 1; i < len(idxs); i++ {
-			if idxs[i] <= idxs[i-1] {
-				t.Fatal("group indexes out of order")
-			}
-		}
-	}
-}
-
 func TestDynamicInstances(t *testing.T) {
 	tr := sample(t, 1)
 	di := tr.DynamicInstances()
@@ -181,6 +163,24 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if !equalTraces(tr, back) {
 		t.Fatal("JSON round trip changed the trace")
+	}
+}
+
+// A JSON trace whose seq values are not the events' positions is rejected
+// with an error naming the event: the analyzer indexes events by Seq.
+func TestReadJSONRejectsSeqNotPosition(t *testing.T) {
+	in := `{"label":"x","events":[{"seq":7,"t_us":0,"tid":1,"site":"a","obj":1,"kind":"init"},` +
+		`{"seq":8,"t_us":5,"tid":2,"site":"b","obj":1,"kind":"use"}]}`
+	_, err := ReadJSON(strings.NewReader(in))
+	if err == nil {
+		t.Fatal("trace with seqs 7 and 8 accepted")
+	}
+	if !strings.Contains(err.Error(), "event 0 has seq 7") {
+		t.Fatalf("error %q does not name the event", err)
+	}
+	ok := strings.NewReplacer(`"seq":7`, `"seq":0`, `"seq":8`, `"seq":1`).Replace(in)
+	if _, err := ReadJSON(strings.NewReader(ok)); err != nil {
+		t.Fatalf("trace with seqs 0 and 1 rejected: %v", err)
 	}
 }
 
