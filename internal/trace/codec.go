@@ -55,7 +55,9 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(jt)
 }
 
-// ReadJSON decodes a trace written by WriteJSON.
+// ReadJSON decodes a trace written by WriteJSON. Each event's seq must be
+// its position in the events list, as Event.Seq promises; the binary
+// codecs assign it from the position and do not store it.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var jt jsonTrace
 	if err := json.NewDecoder(r).Decode(&jt); err != nil {
@@ -63,6 +65,9 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	}
 	tr := &Trace{Label: jt.Label, Seed: jt.Seed, End: sim.Time(jt.End), Events: make([]Event, len(jt.Events))}
 	for i, je := range jt.Events {
+		if je.Seq != i {
+			return nil, fmt.Errorf("trace: event %d has seq %d, want its position %d", i, je.Seq, i)
+		}
 		kind, err := KindFromString(je.Kind)
 		if err != nil {
 			return nil, err

@@ -98,10 +98,17 @@ func FuzzReadJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"label":"x","events":[{"kind":"bogus"}]}`))
 	f.Add([]byte(`{`))
+	// Seqs that are not positions once reached the analyzer and crashed it.
+	f.Add([]byte(`{"label":"x","events":[{"seq":7,"kind":"init","obj":1,"tid":1},{"seq":8,"kind":"use","obj":1,"tid":2}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for i, e := range got.Events {
+			if e.Seq != i {
+				t.Fatalf("event %d has Seq %d", i, e.Seq)
+			}
 		}
 		var out bytes.Buffer
 		if err := got.WriteJSON(&out); err != nil {
