@@ -1,7 +1,9 @@
 // Benchmarks for the trace analyzer, over the suite's largest preparation
-// trace, and for the recorder's hot path. Run with
+// trace, and for the recorder's hot path, plus the analyzer's allocation
+// gate. Run with
 //
 //	go test -bench 'Analyze|Recorder' -benchmem -benchtime 1x .
+//	go test -run TestAnalyzeAllocs -v .
 package waffle_test
 
 import (
@@ -77,6 +79,32 @@ func BenchmarkAnalyzeSequential(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(tr.Events)), "events")
 	reportEventRate(b, len(tr.Events))
+}
+
+// analyzeAllocBound caps core.Analyze's allocations on NpgSQL/test-018's
+// preparation trace at seed 11 (1,261 events). The count is deterministic
+// for a fixed trace; the bound leaves room for Go releases whose map
+// implementations allocate differently.
+const analyzeAllocBound = 1000
+
+func TestAnalyzeAllocs(t *testing.T) {
+	var test *apps.Test
+	for _, app := range apps.Registry() {
+		for _, tc := range app.Tests {
+			if tc.Name == "NpgSQL/test-018" {
+				test = tc
+			}
+		}
+	}
+	if test == nil {
+		t.Fatal("NpgSQL/test-018 not in the registry")
+	}
+	tr := prepTraceOf(t, test, 11)
+	allocs := testing.AllocsPerRun(20, func() { core.Analyze(tr, core.Options{}) })
+	t.Logf("core.Analyze on %s (%d events): %.0f allocs", test.Name, len(tr.Events), allocs)
+	if allocs > analyzeAllocBound {
+		t.Fatalf("core.Analyze allocates %.0f times per call, want at most %d", allocs, analyzeAllocBound)
+	}
 }
 
 // BenchmarkRecorderRecord measures the recording hot path: RecordEvent
