@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -39,17 +39,17 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 
 		preFork := make([]*live.Ref, s.PreForkObjs)
 		for i := range preFork {
-			preFork[i] = h.NewRef(fmt.Sprintf("prefork%d", i))
+			preFork[i] = h.NewRef("prefork" + strconv.Itoa(i))
 			preFork[i].Init(root, siteID(s.Prefix, "prefork", i, "init"))
 		}
 		shared := make([]*live.Ref, s.SharedObjs)
 		for i := range shared {
-			shared[i] = h.NewRef(fmt.Sprintf("shared%d", i))
+			shared[i] = h.NewRef("shared" + strconv.Itoa(i))
 		}
 		synced := make([]*live.Ref, s.SyncedObjs)
 		syncedWGs := make([]*sync.WaitGroup, s.SyncedObjs)
 		for i := range synced {
-			synced[i] = h.NewRef(fmt.Sprintf("synced%d", i))
+			synced[i] = h.NewRef("synced" + strconv.Itoa(i))
 			syncedWGs[i] = &sync.WaitGroup{}
 			syncedWGs[i].Add(s.Threads - 1) // one Done per non-owner
 		}
@@ -57,7 +57,7 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 		handles := make([]*live.Handle, 0, s.Threads)
 		for ti := 0; ti < s.Threads; ti++ {
 			ti := ti
-			handles = append(handles, root.Spawn(fmt.Sprintf("worker%d", ti), func(t *live.Thread) {
+			handles = append(handles, root.Spawn("worker"+strconv.Itoa(ti), func(t *live.Thread) {
 				// Plain uses of the fork-ordered population, right after
 				// the fork so they near-miss the pre-fork inits — the
 				// candidate class fork-clock pruning removes.
@@ -70,7 +70,7 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 				// no cross-thread pairs.
 				locals := make([]*live.Ref, s.LocalObjs)
 				for li := range locals {
-					locals[li] = h.NewRef(fmt.Sprintf("w%d-local%d", ti, li))
+					locals[li] = h.NewRef("w" + strconv.Itoa(ti) + "-local" + strconv.Itoa(li))
 					locals[li].Init(t, siteID(s.Prefix, "w", ti, "local", li, "init"))
 					for op := 0; op < s.LocalOps; op++ {
 						pause(t, spacing)

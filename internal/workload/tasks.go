@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 
 	"waffle/internal/memmodel"
 	"waffle/internal/sim"
@@ -57,12 +57,12 @@ func (s TaskSpec) Body() func(*sim.Thread, *memmodel.Heap) {
 
 		preSubmit := make([]*memmodel.Ref, s.PreSubmitObjs)
 		for i := range preSubmit {
-			preSubmit[i] = h.NewRef(fmt.Sprintf("pre%d", i))
+			preSubmit[i] = h.NewRef("pre" + strconv.Itoa(i))
 			preSubmit[i].Init(root, siteID(s.Prefix, "pre", i, "init"))
 		}
 
 		for oi := 0; oi < s.SharedObjs; oi++ {
-			obj := h.NewRef(fmt.Sprintf("obj%d", oi))
+			obj := h.NewRef("obj" + strconv.Itoa(oi))
 			oi := oi
 			initTask := pool.Submit(root, "init", func(t *sim.Thread) {
 				t.Work(s.Spacing)

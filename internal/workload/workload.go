@@ -116,30 +116,30 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 	return func(root *sim.Thread, h *memmodel.Heap) {
 		preFork := make([]*memmodel.Ref, s.PreForkObjs)
 		for i := range preFork {
-			preFork[i] = h.NewRef(fmt.Sprintf("prefork%d", i))
+			preFork[i] = h.NewRef("prefork" + strconv.Itoa(i))
 			preFork[i].Init(root, siteID(s.Prefix, "prefork", i, "init"))
 		}
 		shared := make([]*memmodel.Ref, s.SharedObjs)
 		for i := range shared {
-			shared[i] = h.NewRef(fmt.Sprintf("shared%d", i))
+			shared[i] = h.NewRef("shared" + strconv.Itoa(i))
 		}
 		synced := make([]*memmodel.Ref, s.SyncedObjs)
 		syncedWGs := make([]*sim.WaitGroup, s.SyncedObjs)
 		for i := range synced {
-			synced[i] = h.NewRef(fmt.Sprintf("synced%d", i))
+			synced[i] = h.NewRef("synced" + strconv.Itoa(i))
 			syncedWGs[i] = &sim.WaitGroup{}
 			syncedWGs[i].Add(root, s.Threads-1) // one Done per non-owner
 		}
 		apiObjs := make([]*memmodel.Ref, s.APIObjs)
 		for i := range apiObjs {
-			apiObjs[i] = h.NewRef(fmt.Sprintf("api%d", i))
+			apiObjs[i] = h.NewRef("api" + strconv.Itoa(i))
 		}
 
 		var wg sim.WaitGroup
 		for ti := 0; ti < s.Threads; ti++ {
 			ti := ti
 			wg.Add(root, 1)
-			root.Spawn(fmt.Sprintf("worker%d", ti), func(t *sim.Thread) {
+			root.Spawn("worker"+strconv.Itoa(ti), func(t *sim.Thread) {
 				defer wg.Done(t)
 
 				// Plain uses of the fork-ordered population, right after
@@ -154,7 +154,7 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 				// no cross-thread pairs.
 				locals := make([]*memmodel.Ref, s.LocalObjs)
 				for li := range locals {
-					locals[li] = h.NewRef(fmt.Sprintf("w%d-local%d", ti, li))
+					locals[li] = h.NewRef("w" + strconv.Itoa(ti) + "-local" + strconv.Itoa(li))
 					locals[li].Init(t, siteID(s.Prefix, "w", ti, "local", li, "init"))
 					for op := 0; op < s.LocalOps; op++ {
 						t.Work(s.Spacing)
