@@ -11,9 +11,8 @@ import (
 // TestAbandonedRunSealsShards is the regression test for leaked-goroutine
 // shard writes: a timed-out recording run leaks goroutines Go cannot
 // kill, and before the fix they kept Appending to trace shards the
-// detector had walked away from — with the streaming merge, straight into
-// a merge pipeline nobody would ever read, and racing any later reader of
-// that state. Abandonment must seal every shard: post-seal appends are
+// detector had walked away from, growing buffers nobody would ever merge
+// and racing any later reader of that state. Abandonment must seal every shard: post-seal appends are
 // dropped and counted by the live.abandoned_events counter. The scenario
 // deliberately leaks a writer that hammers an instrumented site past the
 // run budget; run under -race, the leaked writer and the abandoning

@@ -62,10 +62,6 @@ type runState struct {
 	access    accessFn // nil for uninstrumented baseline runs
 	recording bool     // preparation run: threads buffer event shards
 
-	// merge streams sealed shard chunks into per-thread sequences while
-	// the run executes; non-nil only on recording runs.
-	merge *merger
-
 	// abandonedCtr counts events dropped after abandonment (the
 	// live.abandoned_events counter); resolved once so leaked goroutines
 	// never touch the registry's mutex. Nil-safe.
@@ -89,7 +85,7 @@ type runState struct {
 }
 
 func newRunState(spec runSpec) *runState {
-	rt := &runState{
+	return &runState{
 		label:        spec.label,
 		start:        time.Now(),
 		access:       spec.access,
@@ -97,10 +93,6 @@ func newRunState(spec runSpec) *runState {
 		abandonedCtr: spec.metrics.Counter("live.abandoned_events"),
 		rng:          rand.New(rand.NewSource(spec.seed)),
 	}
-	if spec.recording {
-		rt.merge = newMerger()
-	}
-	return rt
 }
 
 // now reads the run clock: monotonic nanoseconds since run start.
@@ -117,21 +109,14 @@ func (rt *runState) randFloat() float64 {
 	return rt.rng.Float64()
 }
 
-// register adds a thread to the run's registry and wires its shard into
-// the streaming merge (recording runs). A thread registered after the run
-// was abandoned — a leaked goroutine spawning — starts sealed: its events
+// register adds a thread to the run's registry, whose shards collectTrace
+// merges after the run joins. A thread registered after the run was
+// abandoned — a leaked goroutine spawning — starts sealed: its events
 // would never be collected, so they are dropped and counted instead of
 // buffered forever.
 func (rt *runState) register(t *Thread) {
 	if rt.recording {
 		t.events.OnDrop = rt.abandonedCtr.Inc
-		if rt.merge != nil {
-			spilled := false
-			tid, mg := t.id, rt.merge
-			t.events.OnChunk = func(c []trace.Event) {
-				mg.offer(chunk{tid: tid, evs: c}, &spilled)
-			}
-		}
 	}
 	rt.threadMu.Lock()
 	rt.threads = append(rt.threads, t)
@@ -145,10 +130,9 @@ func (rt *runState) register(t *Thread) {
 }
 
 // abandon fences off a timed-out run the detector is walking away from:
-// every registered shard is sealed (leaked writers' later appends are
-// dropped and counted via live.abandoned_events), and the merger — whose
-// output no one will read — is told to exit. Never blocks: it runs on the
-// detector's goroutine while the run's goroutines are still live.
+// every registered shard is sealed, so leaked writers' later appends are
+// dropped and counted via live.abandoned_events. Never blocks: it runs on
+// the detector's goroutine while the run's goroutines are still live.
 func (rt *runState) abandon() {
 	rt.abandoned.Store(true)
 	rt.threadMu.Lock()
@@ -156,9 +140,6 @@ func (rt *runState) abandon() {
 	rt.threadMu.Unlock()
 	for _, t := range threads {
 		t.events.Seal()
-	}
-	if rt.merge != nil {
-		rt.merge.abandon()
 	}
 }
 
@@ -188,33 +169,17 @@ func (rt *runState) recoverFault(t *Thread) {
 	rt.faultMu.Unlock()
 }
 
-// collectTrace finalizes the streaming merge into one time-sorted trace.
-// While the run executed, shard writers emitted every filled chunk through
-// the lock-free ring to the merger goroutine, which folded them into
-// per-thread sequences concurrently with the run — the continuous
-// counterpart of the old post-join batch merge. Here, strictly after every
-// shard writer has finished, the partial tail chunks are flushed, the
-// merger is stopped and drained, and the per-thread sequences (in thread
-// registration order, exactly as the batch AppendTo loop walked them) are
-// stably sorted into the analyzer's global order.
+// collectTrace merges the threads' shards into one time-sorted trace. It
+// runs strictly after every shard writer has finished: each shard is
+// appended in thread registration order, then the events are stably
+// sorted into the analyzer's global order.
 func (rt *runState) collectTrace(seed int64, end sim.Time) *trace.Trace {
 	rt.threadMu.Lock()
 	threads := rt.threads
 	rt.threadMu.Unlock()
 	var evs []trace.Event
-	if rt.merge != nil {
-		for _, t := range threads {
-			t.events.Flush() // writers joined: the tail chunk is safe to emit
-		}
-		rt.merge.stop()
-		perTID := rt.merge.collected()
-		for _, t := range threads {
-			evs = append(evs, perTID[t.id]...)
-		}
-	} else {
-		for _, t := range threads {
-			evs = t.events.AppendTo(evs)
-		}
+	for _, t := range threads {
+		evs = t.events.AppendTo(evs)
 	}
 	// The analyzer requires nondecreasing timestamps; shards are merged by
 	// wall-clock stamp with thread id as the (stable) tiebreaker.
@@ -255,18 +220,9 @@ type runSpec struct {
 	seed      int64
 	body      func(*Thread, *Heap)
 	access    accessFn      // nil for uninstrumented runs
-	recording bool          // stream event shards into a preparation trace
+	recording bool          // collect event shards into a preparation trace
 	timeout   time.Duration // wall-clock budget; <= 0 means DefaultRunTimeout
 	metrics   *obs.Registry // abandonment accounting; nil disables
-}
-
-// runOnce executes one live run with the positional signature the package
-// has always had; execRun is the full-spec form.
-func runOnce(label string, seed int64, body func(*Thread, *Heap), access accessFn, recording bool, timeout time.Duration) runResult {
-	return execRun(runSpec{
-		label: label, seed: seed, body: body,
-		access: access, recording: recording, timeout: timeout,
-	})
 }
 
 // execRun executes one live run: the root body on a fresh goroutine plus

@@ -19,7 +19,7 @@ import (
 // serving process and treats each incoming request as one (potential) run
 // against the per-path target it belongs to. Per ROADMAP item 4 and the
 // paper's production framing (TSVD's always-on sampling, PAPER.md §5),
-// three mechanisms keep it cheap enough to never turn off:
+// two mechanisms keep it cheap enough to never turn off:
 //
 //   - Sampling admission (Options.SampleRate): only a deterministic-hash
 //     fraction of requests run instrumented; the rest execute the plain
@@ -29,17 +29,14 @@ import (
 //     live.base_latency_us histogram (saturating quantile — see
 //     obs.HistView.Quantile), so injection provably cannot push the
 //     sampled p99 past (1 + SLO) × baseline p99 plus scheduler noise.
-//   - Streaming merge: recording requests stream their shards through the
-//     lock-free chunk ring (see merger), so even the trace-building
-//     request does a single sort at the end, not a stop-the-world merge.
 //
 // Per path, the Monitor runs the standard three-phase pipeline across
-// requests: the first admitted request records (streaming) and analyzes
-// into the path's plan; every later admitted request injects from a
-// private plan clone and merges the decayed probabilities back on clean
-// completion. The zero-false-positive contract is unchanged: a bug is
-// reported only when a NULL-reference fault coincides with at least one
-// injected delay.
+// requests: the first admitted request records and analyzes into the
+// path's plan (its threads' shards are merged once the request joins);
+// every later admitted request injects from a private plan clone and
+// merges the decayed probabilities back on clean completion. The
+// zero-false-positive contract is unchanged: a bug is reported only when a
+// NULL-reference fault coincides with at least one injected delay.
 //
 // Stop and Start toggle detection without discarding state: plans, decay
 // probabilities, and bug reports survive a stop/start cycle, so results
@@ -188,8 +185,8 @@ func (m *Monitor) runPlain(path string, seq int64, body func(*Thread, *Heap), op
 	return RequestReport{Path: path, Seq: seq, SampledOut: sampled, Fault: res.fault, Dur: res.wallDur}
 }
 
-// runRecord executes the path's preparation run: record through the
-// streaming merge, analyze, install the plan. The recording claim is
+// runRecord executes the path's preparation run: record, merge the shards
+// after join, analyze, install the plan. The recording claim is
 // always released; a faulted or timed-out recording yields no plan and
 // the next admitted request tries again.
 func (m *Monitor) runRecord(tgt *target, seq int64, body func(*Thread, *Heap), opts Options, copts core.Options) RequestReport {

@@ -57,7 +57,7 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 
 // ReadJSON decodes a trace written by WriteJSON. Each event's seq must be
 // its position in the events list, as Event.Seq promises; the binary
-// codecs assign it from the position and do not store it.
+// codec assigns it from the position and does not store it.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var jt jsonTrace
 	if err := json.NewDecoder(r).Decode(&jt); err != nil {
@@ -84,15 +84,16 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-// Binary format:
+// Binary format (WFTR):
 //
-//	magic "WFTR" | u16 version | label | i64 seed | i64 end
-//	u32 nSites | sites...            (string table, varint-framed)
-//	u32 nEvents | events...
+//	magic "WFTR" | uvarint version | label | varint seed | varint end
+//	uvarint nSites | sites...        (string table)
+//	uvarint nEvents | events...
 //
 // Each event: uvarint site-index, varints for t/tid/obj, byte kind,
-// varint dur, clock (uvarint n, then tid/ctr varint pairs, owner varint).
-// Integers use binary varint encoding; strings are uvarint length + bytes.
+// varint dur, clock (uvarint 0 for none; otherwise uvarint n+1, n tid/ctr
+// varint pairs, varint owner). Integers use binary varint encoding;
+// strings are uvarint length + bytes.
 
 const (
 	binaryMagic = "WFTR"
@@ -102,9 +103,8 @@ const (
 	// desynced the stream and every later record decoded as garbage.
 	// Version 2 writes 0 for a nil clock and n+1 for a clock with n
 	// entries (owner always follows), which is self-delimiting for every
-	// clock shape. Readers still accept version 1.
-	binaryVersion       = 2
-	binaryVersionLegacy = 1
+	// clock shape. Version 1 is rejected.
+	binaryVersion = 2
 )
 
 // ErrBadFormat reports a corrupt or foreign binary trace stream.
@@ -157,10 +157,8 @@ func (bw *binWriter) clock(clk *vclock.Clock) error {
 	return bw.varint(int64(clk.Owner()))
 }
 
-// readClock decodes a clock field written by the given format version.
-// Version 1 streams cannot represent empty-but-non-nil clocks (that was
-// the desync bug this scheme replaced); their 0 means nil.
-func readClock(br *bufio.Reader, version uint64) (*vclock.Clock, error) {
+// readClock decodes a clock field written by binWriter.clock.
+func readClock(br *bufio.Reader) (*vclock.Clock, error) {
 	nClock, err := binary.ReadUvarint(br)
 	if err != nil || nClock > math.MaxInt16 {
 		return nil, fmt.Errorf("%w: clock size", ErrBadFormat)
@@ -168,11 +166,7 @@ func readClock(br *bufio.Reader, version uint64) (*vclock.Clock, error) {
 	if nClock == 0 {
 		return nil, nil
 	}
-	n := int(nClock)
-	if version >= 2 {
-		n-- // version 2 stores count+1 so that 0 is unambiguously "no clock"
-	}
-	entries := make([]vclock.Entry, n)
+	entries := make([]vclock.Entry, nClock-1)
 	for j := range entries {
 		etid, err := binary.ReadVarint(br)
 		if err != nil {
@@ -268,7 +262,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic)
 	}
 	version, err := binary.ReadUvarint(br)
-	if err != nil || (version != binaryVersion && version != binaryVersionLegacy) {
+	if err != nil || version != binaryVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadFormat, version)
 	}
 	label, err := readStr(br)
@@ -332,7 +326,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: event %d dur", ErrBadFormat, i)
 		}
-		clk, err := readClock(br, version)
+		clk, err := readClock(br)
 		if err != nil {
 			return nil, fmt.Errorf("event %d: %w", i, err)
 		}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"testing"
 
 	"waffle/internal/sim"
@@ -61,206 +62,32 @@ func TestBinaryRoundTripEmptyClockSnapshot(t *testing.T) {
 	}
 }
 
-// emptyClockStreamBytes assembles a minimal valid stream whose single
-// event carries an empty-but-non-nil clock, as a fuzz corpus seed. Writes
-// to a bytes.Buffer cannot fail, so errors are ignored.
-func emptyClockStreamBytes() []byte {
+// emptyBinaryTrace assembles a complete WFTR file with no sites and no
+// events under the given format version. Writes to a bytes.Buffer cannot
+// fail, so errors are ignored.
+func emptyBinaryTrace(version uint64) []byte {
 	var buf bytes.Buffer
 	bw := &binWriter{w: bufio.NewWriter(&buf)}
-	bw.w.WriteString(streamMagic)
-	bw.uvarint(streamVersion)
-	bw.str("empty/clock")
-	bw.varint(5)
-	bw.w.WriteByte(frameSite)
-	bw.uvarint(0)
-	bw.str("a.go:1")
-	bw.w.WriteByte(frameEvent)
-	bw.uvarint(0)
-	bw.varint(int64(sim.Millisecond))
-	bw.varint(1)
-	bw.varint(1)
-	bw.w.WriteByte(byte(KindInit))
-	bw.varint(0)
-	bw.clock(vclock.FromSnapshot(7, nil))
-	bw.w.WriteByte(frameEnd)
-	bw.varint(int64(2 * sim.Millisecond))
+	bw.w.WriteString(binaryMagic)
+	bw.uvarint(version)
+	bw.str("empty/bin")
+	bw.varint(3)  // seed
+	bw.varint(0)  // end
+	bw.uvarint(0) // sites
+	bw.uvarint(0) // events
 	bw.w.Flush()
 	return buf.Bytes()
 }
 
-// rawStream hand-assembles stream bytes so tests can exercise clock shapes
-// the live recorder never produces (vclock.Attach always seeds the owner's
-// own tuple).
-func rawStream(t *testing.T, version uint64, frames func(bw *binWriter)) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := &binWriter{w: bufio.NewWriter(&buf)}
-	if _, err := bw.w.WriteString(streamMagic); err != nil {
-		t.Fatal(err)
+// TestBinaryRejectsVersion1 pins that the reader accepts only the current
+// clock encoding: a version-1 file is refused as ErrBadFormat, while the
+// same bytes under the current version decode.
+func TestBinaryRejectsVersion1(t *testing.T) {
+	if _, err := ReadBinary(bytes.NewReader(emptyBinaryTrace(binaryVersion))); err != nil {
+		t.Fatalf("current-version trace rejected: %v", err)
 	}
-	mustOK(t, bw.uvarint(version))
-	mustOK(t, bw.str("raw/stream"))
-	mustOK(t, bw.varint(5))
-	frames(bw)
-	mustOK(t, bw.w.WriteByte(frameEnd))
-	mustOK(t, bw.varint(int64(9*sim.Millisecond)))
-	mustOK(t, bw.w.Flush())
-	return buf.Bytes()
-}
-
-func mustOK(t *testing.T, err error) {
-	t.Helper()
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// eventFrame writes one event frame the way StreamRecorder does, with an
-// explicit clock.
-func eventFrame(t *testing.T, bw *binWriter, siteIdx uint64, at sim.Time, tid int, kind Kind, clk *vclock.Clock) {
-	t.Helper()
-	mustOK(t, bw.w.WriteByte(frameEvent))
-	mustOK(t, bw.uvarint(siteIdx))
-	mustOK(t, bw.varint(int64(at)))
-	mustOK(t, bw.varint(int64(tid)))
-	mustOK(t, bw.varint(1)) // obj
-	mustOK(t, bw.w.WriteByte(byte(kind)))
-	mustOK(t, bw.varint(0)) // dur
-	mustOK(t, bw.clock(clk))
-}
-
-func TestStreamRoundTripEmptyClockSnapshot(t *testing.T) {
-	raw := rawStream(t, streamVersion, func(bw *binWriter) {
-		mustOK(t, bw.w.WriteByte(frameSite))
-		mustOK(t, bw.uvarint(0))
-		mustOK(t, bw.str("a.go:1"))
-		eventFrame(t, bw, 0, sim.Time(1*sim.Millisecond), 1, KindInit, vclock.FromSnapshot(7, nil))
-		// A second event after the empty-clock one: it only decodes
-		// correctly if the empty clock field was self-delimiting.
-		eventFrame(t, bw, 0, sim.Time(2*sim.Millisecond), 2, KindUse,
-			vclock.FromSnapshot(2, []vclock.Entry{{TID: 1, Counter: 2}, {TID: 2, Counter: 1}}))
-	})
-	tr, err := ReadStream(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("ReadStream: %v", err)
-	}
-	if len(tr.Events) != 2 {
-		t.Fatalf("events = %d, want 2", len(tr.Events))
-	}
-	first := tr.Events[0]
-	if first.Clock == nil || first.Clock.Owner() != 7 || first.Clock.Len() != 0 {
-		t.Fatalf("empty clock decoded as %v (owner %v)", first.Clock, first.Clock.Owner())
-	}
-	second := tr.Events[1]
-	if second.TID != 2 || second.Kind != KindUse || second.T != sim.Time(2*sim.Millisecond) {
-		t.Fatalf("event after empty clock desynced: %+v", second)
-	}
-	if second.Clock == nil || second.Clock.Get(1) != 2 || second.Clock.Get(2) != 1 {
-		t.Fatalf("second clock corrupted: %v", second.Clock)
-	}
-	if tr.End != sim.Time(9*sim.Millisecond) {
-		t.Fatalf("trailer end = %v", tr.End)
-	}
-}
-
-// legacyClock writes a clock with the version-1 encoding: raw entry count,
-// entries, then owner for any non-nil clock (nil clocks wrote 0 and no
-// owner — which is why empty snapshots desynced).
-func legacyClock(t *testing.T, bw *binWriter, clk *vclock.Clock) {
-	t.Helper()
-	if clk == nil {
-		mustOK(t, bw.uvarint(0))
-		return
-	}
-	snap := clk.Snapshot()
-	mustOK(t, bw.uvarint(uint64(len(snap))))
-	for _, e := range snap {
-		mustOK(t, bw.varint(int64(e.TID)))
-		mustOK(t, bw.varint(e.Counter))
-	}
-	mustOK(t, bw.varint(int64(clk.Owner())))
-}
-
-func TestStreamReadsLegacyVersion1(t *testing.T) {
-	clk := vclock.FromSnapshot(1, []vclock.Entry{{TID: 1, Counter: 3}})
-	raw := rawStream(t, streamVersionLegacy, func(bw *binWriter) {
-		mustOK(t, bw.w.WriteByte(frameSite))
-		mustOK(t, bw.uvarint(0))
-		mustOK(t, bw.str("a.go:1"))
-		// Legacy event frame: same fields, version-1 clock encoding.
-		mustOK(t, bw.w.WriteByte(frameEvent))
-		mustOK(t, bw.uvarint(0))
-		mustOK(t, bw.varint(int64(1*sim.Millisecond)))
-		mustOK(t, bw.varint(1))
-		mustOK(t, bw.varint(1))
-		mustOK(t, bw.w.WriteByte(byte(KindInit)))
-		mustOK(t, bw.varint(0))
-		legacyClock(t, bw, clk)
-		// Nil clock in legacy form.
-		mustOK(t, bw.w.WriteByte(frameEvent))
-		mustOK(t, bw.uvarint(0))
-		mustOK(t, bw.varint(int64(2*sim.Millisecond)))
-		mustOK(t, bw.varint(1))
-		mustOK(t, bw.varint(1))
-		mustOK(t, bw.w.WriteByte(byte(KindUse)))
-		mustOK(t, bw.varint(0))
-		legacyClock(t, bw, nil)
-	})
-	tr, err := ReadStream(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("legacy stream rejected: %v", err)
-	}
-	if len(tr.Events) != 2 {
-		t.Fatalf("events = %d, want 2", len(tr.Events))
-	}
-	if c := tr.Events[0].Clock; c == nil || c.Owner() != 1 || c.Get(1) != 3 {
-		t.Fatalf("legacy clock decoded as %v", tr.Events[0].Clock)
-	}
-	if tr.Events[1].Clock != nil {
-		t.Fatalf("legacy nil clock decoded as %v", tr.Events[1].Clock)
-	}
-}
-
-func TestBinaryReadsLegacyVersion1(t *testing.T) {
-	// Hand-assemble a version-1 binary trace: header, one site, one event
-	// with a populated clock and one with a nil clock.
-	var buf bytes.Buffer
-	bw := &binWriter{w: bufio.NewWriter(&buf)}
-	mustWrite := func(err error) { mustOK(t, err) }
-	if _, err := bw.w.WriteString(binaryMagic); err != nil {
-		t.Fatal(err)
-	}
-	mustWrite(bw.uvarint(binaryVersionLegacy))
-	mustWrite(bw.str("legacy/bin"))
-	mustWrite(bw.varint(3))                      // seed
-	mustWrite(bw.varint(int64(sim.Millisecond))) // end
-	mustWrite(bw.uvarint(1))                     // one site
-	mustWrite(bw.str("a.go:1"))
-	mustWrite(bw.uvarint(2)) // two events
-	writeEvt := func(kind Kind, clk *vclock.Clock) {
-		mustWrite(bw.uvarint(0)) // site index
-		mustWrite(bw.varint(int64(1 * sim.Millisecond)))
-		mustWrite(bw.varint(1)) // tid
-		mustWrite(bw.varint(1)) // obj
-		mustWrite(bw.w.WriteByte(byte(kind)))
-		mustWrite(bw.varint(0)) // dur
-		legacyClock(t, bw, clk)
-	}
-	writeEvt(KindInit, vclock.FromSnapshot(1, []vclock.Entry{{TID: 1, Counter: 1}}))
-	writeEvt(KindUse, nil)
-	mustWrite(bw.w.Flush())
-
-	tr, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy binary rejected: %v", err)
-	}
-	if len(tr.Events) != 2 {
-		t.Fatalf("events = %d, want 2", len(tr.Events))
-	}
-	if c := tr.Events[0].Clock; c == nil || c.Get(1) != 1 {
-		t.Fatalf("legacy clock decoded as %v", c)
-	}
-	if tr.Events[1].Clock != nil {
-		t.Fatalf("legacy nil clock decoded as %v", tr.Events[1].Clock)
+	_, err := ReadBinary(bytes.NewReader(emptyBinaryTrace(1)))
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("version-1 trace: err = %v, want ErrBadFormat", err)
 	}
 }

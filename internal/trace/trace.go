@@ -225,9 +225,9 @@ func (t *Trace) ComputeStats() Stats {
 }
 
 // TimeSorted reports whether the events appear in nondecreasing timestamp
-// order. Recorder output is sorted by construction; externally loaded or
-// streamed traces may not be, and the analyzer's windowed scans rely on
-// sortedness to stop early.
+// order. Recorder output is sorted by construction; externally loaded
+// traces may not be, and the analyzer's windowed scans rely on sortedness
+// to stop early.
 func (t *Trace) TimeSorted() bool {
 	for i := 1; i < len(t.Events); i++ {
 		if t.Events[i].T < t.Events[i-1].T {
