@@ -17,12 +17,11 @@ import (
 // deterministic virtual-time simulator and would otherwise be silently
 // meaningless on the wall clock.
 var simOnlyFlags = map[string]string{
-	"seed":     "wall-clock scheduling cannot be swept or replayed by seed; live injector seeds derive from the run number",
-	"parallel": "speculative parallel re-execution requires deterministic virtual-time runs",
-	"replay":   "deterministic replay requires the virtual-time simulator",
-	"tool":     "live mode always runs the full waffle pipeline (baselines are simulator-only)",
-	"suite":    "the benchmark suite runs in the simulator; use a live demo instead",
-	"test":     "benchmark tests run in the simulator; pass a live demo name to -live",
+	"seed":   "wall-clock scheduling cannot be swept or replayed by seed; live injector seeds derive from the run number",
+	"replay": "deterministic replay requires the virtual-time simulator",
+	"tool":   "live mode always runs the full waffle pipeline (baselines are simulator-only)",
+	"suite":  "the benchmark suite runs in the simulator; use a live demo instead",
+	"test":   "benchmark tests run in the simulator; pass a live demo name to -live",
 }
 
 // rejectSimOnlyFlags exits with a clear diagnostic when any sim-only flag

@@ -12,7 +12,7 @@
 //
 // Live mode runs the detector against real goroutines on the wall clock
 // (see package live); scheduling is physical, so sim-only flags such as
-// -seed and -parallel are rejected:
+// -seed and -replay are rejected:
 //
 //	waffle -live-list                    # enumerate live demos
 //	waffle -live disposer                # expose a planted use-after-free
@@ -39,7 +39,6 @@ func main() {
 		maxRuns  = flag.Int("max-runs", 50, "run budget (preparation included)")
 		seed     = flag.Int64("seed", 1, "base seed; run i uses seed+i-1")
 		replay   = flag.Bool("replay", false, "after exposing a bug, validate it with a minimal deterministic replay")
-		parallel = flag.Int("parallel", 1, "worker goroutines for detection runs (result identical to sequential)")
 		jsonOut  = flag.String("report", "", "write the bug report as JSON to this path")
 		planOut  = flag.String("plan", "", "write the analyzed plan (candidate set S, interference set I, delay lengths) as JSON")
 		traceOut = flag.String("trace", "", "write the preparation-run trace (binary)")
@@ -92,7 +91,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *suite != "" {
-		runSuite(*suite, *toolName, *maxRuns, *seed, *parallel, mc, ctrl)
+		runSuite(*suite, *toolName, *maxRuns, *seed, mc, ctrl)
 		ctrlDone()
 		return
 	}
@@ -128,7 +127,7 @@ func main() {
 	if tgt != nil {
 		session.Tuner = tgt
 	}
-	out := session.ExposeParallel(*parallel)
+	out := session.Expose()
 	tgt.ObserveOutcome(out)
 
 	fmt.Printf("program:  %s\n", out.Program)
@@ -263,7 +262,7 @@ func newController(enabled bool, logPath string) (*control.Controller, func()) {
 // runSuite exposes bugs across one application's whole test suite — the
 // evaluation's usage mode: "we ran both tools using every multi-threaded
 // test case in the test suites of each application" (§6.1).
-func runSuite(appName, toolName string, maxRuns int, seed int64, parallel int, mc *metricsConfig, ctrl *control.Controller) {
+func runSuite(appName, toolName string, maxRuns int, seed int64, mc *metricsConfig, ctrl *control.Controller) {
 	app := apps.ByName(appName)
 	if app == nil {
 		fmt.Fprintf(os.Stderr, "waffle: unknown application %q (try -list)\n", appName)
@@ -298,7 +297,7 @@ func runSuite(appName, toolName string, maxRuns int, seed int64, parallel int, m
 		if tgt != nil {
 			session.Tuner = tgt
 		}
-		out := session.ExposeParallel(parallel)
+		out := session.Expose()
 		tgt.ObserveOutcome(out)
 		if out.Bug != nil {
 			bugsFound++

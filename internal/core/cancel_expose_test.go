@@ -1,6 +1,5 @@
-// Regression tests for satellite "thread context through ExposeParallel":
-// a cancelled session must stop at the next boundary and commit no run
-// from a wave that was in flight when the context died.
+// Tests for Session.ExposeCtx: a cancelled session stops at the next run
+// boundary, and a Background context changes nothing.
 package core_test
 
 import (
@@ -43,48 +42,9 @@ func disarmedProg(t *testing.T) core.ContextProgram {
 	return p.DisarmAll().Prog()
 }
 
-// Cancel mid-wave: the wave in flight is discarded, so the outcome holds
-// strictly fewer runs than executions started, every committed run is a
-// contiguous prefix, and nothing commits after the trigger's wave.
-func TestExposeParallelCtxCancelMidWaveCommitsNothingFurther(t *testing.T) {
-	const maxRuns, workers, trigger = 40, 4, 10
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	prog := &cancelAfter{inner: disarmedProg(t), trigger: trigger, cancel: cancel}
-	s := &core.Session{
-		Prog:     prog,
-		Tool:     core.NewWaffle(core.Options{}),
-		MaxRuns:  maxRuns,
-		BaseSeed: 7,
-	}
-	out := s.ExposeParallelCtx(ctx, workers)
-
-	execs := int(prog.execs.Load())
-	if execs < trigger {
-		t.Fatalf("cancel never fired: %d executions", execs)
-	}
-	if len(out.Runs) >= maxRuns {
-		t.Fatalf("cancelled search still committed the full budget (%d runs)", len(out.Runs))
-	}
-	// The trigger's wave was in flight at cancellation and must have been
-	// discarded: at least that execution can never appear in the outcome.
-	if len(out.Runs) >= execs {
-		t.Fatalf("committed %d runs out of %d executions — the in-flight wave leaked into the outcome",
-			len(out.Runs), execs)
-	}
-	for i, r := range out.Runs {
-		if r.Run != i+1 {
-			t.Fatalf("committed runs are not a contiguous prefix: run %d at position %d", r.Run, i)
-		}
-		if r.Err != nil {
-			t.Fatalf("run %d committed with error %v — cancelled runs must not commit", r.Run, r.Err)
-		}
-	}
-}
-
-// Sequential ExposeCtx stops at the first boundary after the cancel; the
-// run the cancel interrupted is the last one recorded (as a run error),
-// and no later run starts.
+// ExposeCtx stops at the first boundary after the cancel; the run the
+// cancel interrupted is the last one recorded (as a run error), and no
+// later run starts.
 func TestExposeCtxCancelStopsAtBoundary(t *testing.T) {
 	const maxRuns, trigger = 40, 5
 	ctx, cancel := context.WithCancel(context.Background())
@@ -98,7 +58,7 @@ func TestExposeCtxCancelStopsAtBoundary(t *testing.T) {
 	}
 	out := s.ExposeCtx(ctx)
 	if got := int(prog.execs.Load()); got != trigger {
-		t.Fatalf("sequential search executed %d runs after a cancel at %d", got, trigger)
+		t.Fatalf("search executed %d runs after a cancel at %d", got, trigger)
 	}
 	if len(out.Runs) != trigger {
 		t.Fatalf("outcome has %d runs, want %d (the interrupted run included)", len(out.Runs), trigger)
@@ -109,9 +69,9 @@ func TestExposeCtxCancelStopsAtBoundary(t *testing.T) {
 	}
 }
 
-// A Background context leaves both searches byte-identical to the
-// context-free entry points (the wrappers literally call the Ctx
-// variants, so this pins the wrapper direction too).
+// A Background context leaves the search byte-identical to the
+// context-free entry point (Expose literally calls ExposeCtx, so this pins
+// the wrapper direction too).
 func TestExposeCtxBackgroundMatchesExpose(t *testing.T) {
 	mk := func() *core.Session {
 		return &core.Session{

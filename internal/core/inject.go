@@ -237,7 +237,7 @@ func (in *Injector) Access(e Exec, site trace.SiteID, obj trace.ObjID, kind trac
 	// site's delay as ongoing, spuriously skipping injections — and an
 	// interval recorded up front as [start, start+d] would overcount
 	// Table 6's cumulative delay and the §3.3 overlap metric when the
-	// sleep is truncated by a fault or a RunBudget cancel. During the
+	// sleep is truncated by a fault or a cancelled run. During the
 	// unwind e.Now() reflects the teardown point, so clamping to
 	// [start, start+d] charges exactly the time actually slept.
 	defer func() {

@@ -10,8 +10,9 @@ import (
 )
 
 // ContextProgram is an optional Program capability: executions that honor
-// a wall-clock cancellation context. The parallel orchestrator uses it to
-// enforce per-run budgets; programs without it simply run to completion.
+// a wall-clock cancellation context. Session.ExposeCtx uses it to abort
+// the run in flight when its context is done; programs without it simply
+// run to completion.
 type ContextProgram interface {
 	Program
 	// ExecuteCtx runs the program once, aborting with an ErrCanceled-style

@@ -1,9 +1,9 @@
 package core
 
 // This file is the run-boundary control seam: an optional Tuner consulted
-// by Session.Expose / Session.ExposeParallel between runs, able to retune
-// engine options, shrink or extend the run budget, or stop a session
-// early so its remaining budget can go to livelier targets.
+// by Session.Expose between runs, able to retune engine options, shrink or
+// extend the run budget, or stop a session early so its remaining budget
+// can go to livelier targets.
 //
 // Two rules make retuning safe:
 //
@@ -16,14 +16,7 @@ package core
 //   - Nil is free. A session with no Tuner takes a single nil check per
 //     run and behaves byte-identically to one that never had the field —
 //     the disabled-controller equivalence property tested in
-//     adaptive_equivalence_test.go.
-//
-// In ExposeParallel the boundary is the commit loop: waves fully complete
-// (sched.runWave's WaitGroup) before commits run single-threaded, so a
-// retune applied there cannot race a worker. Parallel sessions honor
-// budget shrinks exactly (later indices are discarded like a sequential
-// break) but apply option changes at wave granularity — the wave that was
-// speculated under the old options still commits under them.
+//     tune_equivalence_test.go.
 
 // TuneContext is what a Tuner sees at one run boundary.
 type TuneContext struct {
@@ -63,10 +56,9 @@ type TuneDecision struct {
 	// Opts, when non-nil, is applied to the tool (Retunable.SetOptions)
 	// before the run starts. Ignored for tools that are not Retunable.
 	Opts *Options
-	// MaxRuns, when positive, replaces the session's total budget.
-	// Sequential sessions honor both growth and shrink; parallel sessions
-	// honor shrink only (the fan-out range is fixed when the pool starts).
-	// A budget below the current run number stops the session.
+	// MaxRuns, when positive, replaces the session's total budget, growing
+	// or shrinking it. A budget below the current run number stops the
+	// session.
 	MaxRuns int
 }
 

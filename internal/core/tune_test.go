@@ -97,27 +97,6 @@ func TestTunerRetunesOptionsAtBoundary(t *testing.T) {
 	}
 }
 
-// Parallel sessions honor budget shrinks exactly: commits discard indices
-// past the shrunk budget like a sequential break.
-func TestTunerShrinksBudgetParallel(t *testing.T) {
-	rt := &recordingTuner{decisions: map[int]TuneDecision{3: {MaxRuns: 5}}}
-	s := &Session{Prog: cleanProg(), Tool: NewWaffle(Options{}), MaxRuns: 40, BaseSeed: 1, Tuner: rt}
-	out := s.ExposeParallel(4)
-	if len(out.Runs) != 5 {
-		t.Fatalf("performed %d runs, want 5 after parallel budget shrink", len(out.Runs))
-	}
-}
-
-// A stop decision in parallel mode halts the engine at the boundary.
-func TestTunerStopParallel(t *testing.T) {
-	rt := &recordingTuner{decisions: map[int]TuneDecision{4: {Stop: true}}}
-	s := &Session{Prog: cleanProg(), Tool: NewWaffle(Options{}), MaxRuns: 40, BaseSeed: 1, Tuner: rt}
-	out := s.ExposeParallel(4)
-	if len(out.Runs) != 3 {
-		t.Fatalf("performed %d runs, want 3 (stopped before run 4)", len(out.Runs))
-	}
-}
-
 // A tuner that decides nothing must not change what the session finds or
 // how many runs it takes.
 func TestPassiveTunerPreservesOutcome(t *testing.T) {

@@ -68,7 +68,7 @@ func EvalBug(test *apps.Test, opt BugOptions) BugRow {
 	base := test.Prog.Execute(opt.Seed, nil)
 	row.BaseMS = float64(base.End) / 1000.0
 
-	basic := stats.RepeatExposeParallel(opt.Repetitions, opt.MaxRuns, opt.Seed, opt.Parallelism,
+	basic := stats.RepeatExpose(opt.Repetitions, opt.MaxRuns, opt.Seed,
 		func() core.Program { return test.Prog },
 		func() core.Tool { return wafflebasic.New(core.Options{}) })
 	bsum := stats.Summarize(basic, opt.Majority)
@@ -81,7 +81,7 @@ func EvalBug(test *apps.Test, opt BugOptions) BugRow {
 		row.BasicSlowdown = bsum.MedianSlowdown
 	}
 
-	waffle := stats.RepeatExposeParallel(opt.Repetitions, opt.MaxRuns, opt.Seed, opt.Parallelism,
+	waffle := stats.RepeatExpose(opt.Repetitions, opt.MaxRuns, opt.Seed,
 		func() core.Program { return test.Prog },
 		func() core.Tool { return core.NewWaffle(core.Options{}) })
 	wsum := stats.Summarize(waffle, opt.Majority)
@@ -99,14 +99,10 @@ func EvalBug(test *apps.Test, opt BugOptions) BugRow {
 func EvalTable4(opt BugOptions) []BugRow {
 	bugs := apps.AllBugs()
 	rows := make([]BugRow, len(bugs))
-	// The bug-level fan-out saturates the workers; per-session detection
-	// runs stay sequential so the pool isn't oversubscribed quadratically.
-	inner := opt
-	inner.Parallelism = 1
 	sched.Run(sched.Pool{Workers: opt.Parallelism},
 		0, len(bugs)-1,
 		func(_ context.Context, i int) (BugRow, error) {
-			return EvalBug(bugs[i], inner), nil
+			return EvalBug(bugs[i], opt), nil
 		},
 		func(r sched.Result[BugRow]) bool {
 			rows[r.Index] = r.Value

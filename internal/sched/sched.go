@@ -1,14 +1,14 @@
-// Package sched is a small deterministic fan-out engine for detection
-// runs: it executes a contiguous range of independent jobs over a bounded
-// worker pool in fixed-size waves, then commits each wave's results in
-// ascending index order.
+// Package sched is a small deterministic fan-out engine for independent
+// jobs — the bugs and tests of an evaluation table, the programs of a
+// campaign or differential corpus: it executes a contiguous range of jobs
+// over a bounded worker pool in fixed-size waves, then commits each
+// wave's results in ascending index order.
 //
-// The wave/commit split is what makes parallel detection reproducible:
-// jobs may finish in any order on any worker, but observable effects
-// (plan mutation, first-bug-wins selection) happen only inside commit,
-// which sees results exactly as a sequential loop would. A commit
-// returning false stops the engine before the next wave — the parallel
-// analog of `break`.
+// The wave/commit split is what makes a fan-out reproducible: jobs may
+// finish in any order on any worker, but observable effects (result rows,
+// journal records) happen only inside commit, which sees results exactly
+// as a sequential loop would. A commit returning false stops the engine
+// before the next wave — the parallel analog of `break`.
 //
 // The package is generic and self-contained (no core imports), so core
 // can depend on it without an import cycle.
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"waffle/internal/obs"
 )
@@ -106,9 +105,6 @@ type Pool struct {
 	// barrier; smaller waves tighten how far results can run ahead of the
 	// committed state.
 	Wave int
-	// Budget is the per-job wall-clock budget, enforced via the context
-	// passed to each job. Zero means no budget.
-	Budget time.Duration
 	// Metrics receives pool counters (sched.jobs, sched.waves,
 	// sched.job_panics). Nil disables them.
 	Metrics *obs.Registry
@@ -147,7 +143,7 @@ func (p Pool) Close() { p.Life.Close() }
 type Result[R any] struct {
 	Index int
 	Value R
-	Err   error // job error, budget cancellation, or recovered panic
+	Err   error // job error, cancellation, or recovered panic
 }
 
 // PanicError wraps a panic recovered from a job so one crashing run is
@@ -191,12 +187,11 @@ func Run[R any](p Pool, first, last int, job func(ctx context.Context, index int
 }
 
 // RunCtx is Run under a caller context. The context gates progress at
-// wave granularity and flows into every job (the per-job Budget, if any,
-// is layered on top of it): once ctx is done, no further wave launches,
-// the results of the wave in flight are DISCARDED — they never reach
-// commit, so a journal whose cursor advances only on commit can replay
-// them safely after a resume — and RunCtx returns the commits so far with
-// ctx's error. When the pool carries a draining Lifecycle the submission
+// wave granularity and flows into every job: once ctx is done, no further
+// wave launches, the results of the wave in flight are DISCARDED — they
+// never reach commit, so a journal whose cursor advances only on commit
+// can replay them safely after a resume — and RunCtx returns the commits
+// so far with ctx's error. When the pool carries a draining Lifecycle the submission
 // is rejected up front with ErrDraining and zero commits.
 func RunCtx[R any](ctx context.Context, p Pool, first, last int, job func(ctx context.Context, index int) (R, error), commit func(Result[R]) bool) (int, error) {
 	if !p.Life.begin() {
@@ -290,15 +285,9 @@ func acquire(ctx context.Context, sem chan struct{}) bool {
 	}
 }
 
-// runJob executes one job under its budget, converting panics into
-// PanicError results.
+// runJob executes one job, converting panics into PanicError results.
 func runJob[R any](ctx context.Context, p Pool, index int, job func(ctx context.Context, index int) (R, error)) (res Result[R]) {
 	res.Index = index
-	if p.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Budget)
-		defer cancel()
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			stack := make([]byte, 64<<10)

@@ -107,28 +107,6 @@ func TestRunRecoversJobPanics(t *testing.T) {
 	}
 }
 
-func TestRunEnforcesBudget(t *testing.T) {
-	p := Pool{Workers: 2, Wave: 2, Budget: 5 * time.Millisecond}
-	n := Run(p, 1, 2, func(ctx context.Context, i int) (int, error) {
-		if i == 1 {
-			<-ctx.Done() // a stuck run: only the budget frees it
-			return 0, ctx.Err()
-		}
-		return i, nil
-	}, func(r Result[int]) bool {
-		if r.Index == 1 && !errors.Is(r.Err, context.DeadlineExceeded) {
-			t.Errorf("job 1 err = %v, want deadline exceeded", r.Err)
-		}
-		if r.Index == 2 && r.Err != nil {
-			t.Errorf("job 2 err = %v", r.Err)
-		}
-		return true
-	})
-	if n != 2 {
-		t.Fatalf("committed %d, want 2", n)
-	}
-}
-
 func TestRunEmptyRange(t *testing.T) {
 	n := Run(Pool{}, 5, 4, func(_ context.Context, i int) (int, error) {
 		t.Fatal("job ran on empty range")
@@ -152,82 +130,6 @@ func TestRunWaveDefaultsToWorkers(t *testing.T) {
 	}, func(r Result[int]) bool { return false })
 	if s := started.Load(); s != 2 {
 		t.Fatalf("started %d jobs, want 2 (one wave of Workers)", s)
-	}
-}
-
-// Budget exhaustion mid-wave: a wave wider than the worker pool, with
-// stuck jobs interleaved among fast ones. Every stuck job must be freed
-// by its own per-job budget — including jobs that were still queued
-// behind the semaphore when the first deadlines fired — and the wave must
-// still commit every result, in ascending index order, with the fast
-// jobs' values intact.
-func TestRunBudgetExhaustionMidWave(t *testing.T) {
-	var inFlight, maxInFlight atomic.Int32
-	p := Pool{Workers: 2, Wave: 6, Budget: 10 * time.Millisecond}
-	var order []int
-	n := Run(p, 1, 6, func(ctx context.Context, i int) (int, error) {
-		cur := inFlight.Add(1)
-		defer inFlight.Add(-1)
-		for {
-			prev := maxInFlight.Load()
-			if cur <= prev || maxInFlight.CompareAndSwap(prev, cur) {
-				break
-			}
-		}
-		if i%2 == 1 {
-			<-ctx.Done() // stuck until the budget frees it
-			return 0, ctx.Err()
-		}
-		return i * 10, nil
-	}, func(r Result[int]) bool {
-		order = append(order, r.Index)
-		if r.Index%2 == 1 {
-			if !errors.Is(r.Err, context.DeadlineExceeded) {
-				t.Errorf("stuck job %d err = %v, want deadline exceeded", r.Index, r.Err)
-			}
-		} else {
-			if r.Err != nil || r.Value != r.Index*10 {
-				t.Errorf("fast job %d = (%d, %v), want (%d, nil)", r.Index, r.Value, r.Err, r.Index*10)
-			}
-		}
-		return true
-	})
-	if n != 6 {
-		t.Fatalf("committed %d, want 6", n)
-	}
-	for i, idx := range order {
-		if idx != i+1 {
-			t.Fatalf("commit order %v, want ascending 1..6", order)
-		}
-	}
-	if m := maxInFlight.Load(); m != 2 {
-		t.Errorf("max in-flight %d, want 2 (budget must not serialize the pool)", m)
-	}
-}
-
-// A commit that stops on a budget-canceled result must halt the engine
-// mid-wave: results after the stopping index are discarded even though
-// their jobs already ran.
-func TestRunStopsOnBudgetCancellation(t *testing.T) {
-	var ran atomic.Int32
-	p := Pool{Workers: 4, Wave: 4, Budget: 5 * time.Millisecond}
-	committed := 0
-	n := Run(p, 1, 8, func(ctx context.Context, i int) (int, error) {
-		ran.Add(1)
-		if i == 2 {
-			<-ctx.Done()
-			return 0, ctx.Err()
-		}
-		return i, nil
-	}, func(r Result[int]) bool {
-		committed++
-		return !errors.Is(r.Err, context.DeadlineExceeded)
-	})
-	if n != 2 || committed != 2 {
-		t.Fatalf("committed %d (counted %d), want stop at index 2", n, committed)
-	}
-	if r := ran.Load(); r != 4 {
-		t.Fatalf("%d jobs ran, want exactly the first wave of 4", r)
 	}
 }
 

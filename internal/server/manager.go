@@ -284,9 +284,9 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 		},
 		func(r sched.Result[*ProgramResult]) bool {
 			if r.Err != nil {
-				// A per-program budget kill or recovered panic: record it
-				// as a violation-bearing placeholder so the cursor stays
-				// contiguous and the breach is visible in the results.
+				// A recovered panic: record it as a violation-bearing
+				// placeholder so the cursor stays contiguous and the
+				// breach is visible in the results.
 				r.Value = &ProgramResult{
 					Index:      r.Index,
 					Violations: []string{fmt.Sprintf("program %d aborted: %v", r.Index, r.Err)},

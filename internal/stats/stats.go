@@ -174,15 +174,6 @@ type ExposeResult struct {
 // per-repetition results. Builders return fresh instances so no state
 // leaks between repetitions.
 func RepeatExpose(n int, maxRuns int, seed0 int64, pb func() core.Program, tb func() core.Tool) []ExposeResult {
-	return RepeatExposeParallel(n, maxRuns, seed0, 1, pb, tb)
-}
-
-// RepeatExposeParallel is RepeatExpose with each session's detection runs
-// fanned over workers goroutines (core.Session.ExposeParallel). The
-// orchestrator's determinism guarantee makes the results identical to the
-// sequential search — only wall-clock time changes. workers <= 1 runs
-// sequentially.
-func RepeatExposeParallel(n int, maxRuns int, seed0 int64, workers int, pb func() core.Program, tb func() core.Tool) []ExposeResult {
 	out := make([]ExposeResult, 0, n)
 	for i := 0; i < n; i++ {
 		s := &core.Session{
@@ -191,7 +182,7 @@ func RepeatExposeParallel(n int, maxRuns int, seed0 int64, workers int, pb func(
 			MaxRuns:  maxRuns,
 			BaseSeed: seed0 + int64(i)*10_007,
 		}
-		o := s.ExposeParallel(workers)
+		o := s.Expose()
 		out = append(out, ExposeResult{Runs: o.RunsToExpose(), Slowdown: o.Slowdown()})
 	}
 	return out

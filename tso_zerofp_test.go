@@ -52,13 +52,3 @@ func TestDelayFreeStaleReadYieldsNoBugReport(t *testing.T) {
 		})
 	}
 }
-
-func TestDelayFreeStaleReadYieldsNoBugReportParallel(t *testing.T) {
-	for name, mk := range zeroFPTools() {
-		t.Run(name, func(t *testing.T) {
-			s := &core.Session{Prog: staleReadFaulter(), Tool: mk(), MaxRuns: 6, BaseSeed: 1}
-			out := s.ExposeParallel(4)
-			checkDelayFreeOutcome(t, out)
-		})
-	}
-}

@@ -46,53 +46,44 @@ func outcomeBytes(t *testing.T, out *core.Outcome, tool *core.Waffle) []byte {
 	return b.Bytes()
 }
 
-// exposeWith runs one session over test with the given tuner wiring and
-// parallelism, returning the serialized observable result.
-func exposeWith(t *testing.T, test *apps.Test, seed int64, tuner core.Tuner, parallel int) []byte {
+// exposeWith runs one session over test with the given tuner wiring,
+// returning the serialized observable result.
+func exposeWith(t *testing.T, test *apps.Test, seed int64, tuner core.Tuner) []byte {
 	t.Helper()
 	tool := core.NewWaffle(core.Options{})
 	s := &core.Session{Prog: test.Prog, Tool: tool, MaxRuns: 25, BaseSeed: seed, Tuner: tuner}
-	var out *core.Outcome
-	if parallel > 1 {
-		out = s.ExposeParallel(parallel)
-	} else {
-		out = s.Expose()
-	}
-	return outcomeBytes(t, out, tool)
+	return outcomeBytes(t, s.Expose(), tool)
 }
 
-// Over every built-in bug input, sequentially and in parallel: a session
-// with no tuner, a session wired exactly as -adaptive=false wires it (a
-// Disabled controller's Target is nil, so Tuner stays unset), and a
-// session where a typed-nil *control.Target leaked into the Tuner
-// interface all produce byte-identical plans, schedules, and outcomes.
+// Over every built-in bug input: a session with no tuner, a session wired
+// exactly as -adaptive=false wires it (a Disabled controller's Target is
+// nil, so Tuner stays unset), and a session where a typed-nil
+// *control.Target leaked into the Tuner interface all produce
+// byte-identical plans, schedules, and outcomes.
 func TestDisabledControllerByteIdenticalOnAllApps(t *testing.T) {
 	disabled := control.New(control.Config{Disabled: true})
 	for _, test := range apps.AllBugs() {
 		for _, seed := range []int64{3, 17} {
-			for _, parallel := range []int{1, 4} {
-				mode := map[int]string{1: "sequential", 4: "parallel"}[parallel]
-				base := exposeWith(t, test, seed, nil, parallel)
+			base := exposeWith(t, test, seed, nil)
 
-				// -adaptive=false wiring: a Disabled controller hands out a
-				// nil target and the session's Tuner stays unset.
-				var tuner core.Tuner
-				if tgt := disabled.Target(test.Name + "/waffle"); tgt != nil {
-					t.Fatalf("%s: disabled controller handed out a live target", test.Name)
-				}
-				viaWiring := exposeWith(t, test, seed, tuner, parallel)
-				if !bytes.Equal(base, viaWiring) {
-					t.Errorf("%s seed %d %s: disabled-controller wiring diverged\nbase:\n%s\nwired:\n%s",
-						test.Name, seed, mode, base, viaWiring)
-				}
+			// -adaptive=false wiring: a Disabled controller hands out a nil
+			// target and the session's Tuner stays unset.
+			var tuner core.Tuner
+			if tgt := disabled.Target(test.Name + "/waffle"); tgt != nil {
+				t.Fatalf("%s: disabled controller handed out a live target", test.Name)
+			}
+			viaWiring := exposeWith(t, test, seed, tuner)
+			if !bytes.Equal(base, viaWiring) {
+				t.Errorf("%s seed %d: disabled-controller wiring diverged\nbase:\n%s\nwired:\n%s",
+					test.Name, seed, base, viaWiring)
+			}
 
-				// Hostile variant: a typed-nil *control.Target assigned into
-				// the interface. The nil-safe TuneRun must decide nothing.
-				viaNilTarget := exposeWith(t, test, seed, (*control.Target)(nil), parallel)
-				if !bytes.Equal(base, viaNilTarget) {
-					t.Errorf("%s seed %d %s: typed-nil target diverged\nbase:\n%s\nnil target:\n%s",
-						test.Name, seed, mode, base, viaNilTarget)
-				}
+			// Hostile variant: a typed-nil *control.Target assigned into the
+			// interface. The nil-safe TuneRun must decide nothing.
+			viaNilTarget := exposeWith(t, test, seed, (*control.Target)(nil))
+			if !bytes.Equal(base, viaNilTarget) {
+				t.Errorf("%s seed %d: typed-nil target diverged\nbase:\n%s\nnil target:\n%s",
+					test.Name, seed, base, viaNilTarget)
 			}
 		}
 	}

@@ -76,15 +76,6 @@ func TestDelayFreeFaultYieldsNoBugReport(t *testing.T) {
 	}
 }
 
-func TestDelayFreeFaultYieldsNoBugReportParallel(t *testing.T) {
-	for name, mk := range zeroFPTools() {
-		t.Run(name, func(t *testing.T) {
-			s := &core.Session{Prog: delayFreeFaulter(), Tool: mk(), MaxRuns: 6, BaseSeed: 1}
-			checkDelayFreeOutcome(t, s.ExposeParallel(4))
-		})
-	}
-}
-
 // A delay-caused fault must still be reported — the contract suppresses
 // only faults no delay could have caused, not real exposures.
 func TestDelayCausedFaultStillReported(t *testing.T) {
