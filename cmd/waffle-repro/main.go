@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"waffle/internal/apps"
@@ -20,47 +22,66 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command on the writers it is given. It returns the exit
+// code: 0 when the report reproduced, 1 on an unreadable report or
+// unknown test, 2 on bad usage, 3 when the replay did not reproduce.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("waffle-repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		reportPath = flag.String("report", "", "bug report JSON written by waffle -report")
-		verbose    = flag.Bool("v", false, "print the minimal plan before replaying")
+		reportPath = fs.String("report", "", "bug report JSON written by waffle -report")
+		verbose    = fs.Bool("v", false, "print the minimal plan before replaying")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *reportPath == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "waffle-repro: %v\n", err)
+		return 1
 	}
 
 	f, err := os.Open(*reportPath)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	bug, err := core.ReadBugReportJSON(f)
 	f.Close()
 	if err != nil {
-		fatal(fmt.Errorf("%s: %w", *reportPath, err))
+		return fail(fmt.Errorf("%s: %w", *reportPath, err))
 	}
 
 	test := findTest(bug.Program)
 	if test == nil {
-		fatal(fmt.Errorf("report names unknown test %q", bug.Program))
+		return fail(fmt.Errorf("report names unknown test %q", bug.Program))
 	}
 
-	fmt.Printf("report:  %s (%s at %s, run %d, seed %d)\n",
-		bug.Program, bug.Kind(), bug.NullRef.Site, bug.Run, bug.Seed)
+	fmt.Fprintf(stdout, "report:  %s (%s at %s, run %d, seed %d)\n",
+		bug.Program, bug.Kind(), bug.FaultSite(), bug.Run, bug.Seed)
 	if *verbose {
 		plan := core.MinimalPlan(bug, core.Options{})
-		fmt.Printf("minimal plan: %d pair(s)\n", len(plan.Pairs))
+		fmt.Fprintf(stdout, "minimal plan: %d pair(s)\n", len(plan.Pairs))
 		for _, p := range plan.Pairs {
-			fmt.Printf("  {%s -> %s} %v, delay %v\n",
+			fmt.Fprintf(stdout, "  {%s -> %s} %v, delay %v\n",
 				p.Delay, p.Target, p.Kind, plan.DelayLen[p.Delay])
 		}
 	}
 
 	rep := core.Replay(test.Prog, bug, core.Options{})
-	fmt.Printf("replay:  %v\n", rep)
+	fmt.Fprintf(stdout, "replay:  %v\n", rep)
 	if !rep.Reproduced {
-		os.Exit(3)
+		return 3
 	}
+	return 0
 }
 
 func findTest(name string) *apps.Test {
@@ -72,9 +93,4 @@ func findTest(name string) *apps.Test {
 		}
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "waffle-repro: %v\n", err)
-	os.Exit(1)
 }
