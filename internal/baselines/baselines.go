@@ -28,7 +28,7 @@ type DataCollider struct {
 	InstrCost sim.Duration
 
 	sampled map[trace.SiteID]bool // this run's sampling decisions
-	stats   core.DelayStats
+	act     *core.Actuator        // this run's delays
 }
 
 // NewDataCollider returns the sampler with defaults: 5% of sites per run,
@@ -43,12 +43,12 @@ func (d *DataCollider) Name() string { return "datacollider" }
 // HookForRun implements core.Tool: every run resamples independently.
 func (d *DataCollider) HookForRun(run int, prev *core.RunReport) memmodel.Hook {
 	d.sampled = make(map[trace.SiteID]bool)
-	d.stats = core.DelayStats{}
+	d.act = core.NewActuator(nil, nil, nil)
 	return d
 }
 
 // RunStats implements core.Tool.
-func (d *DataCollider) RunStats() core.DelayStats { return d.stats }
+func (d *DataCollider) RunStats() core.DelayStats { return d.act.Stats() }
 
 // Candidates implements core.Tool: sampling has no candidate model.
 func (d *DataCollider) Candidates(site trace.SiteID) []core.Pair { return nil }
@@ -66,11 +66,9 @@ func (d *DataCollider) OnAccess(t *sim.Thread, site trace.SiteID, obj trace.ObjI
 		chosen = t.World().Rand() < d.SampleRate
 		d.sampled[site] = chosen
 	}
-	if !chosen {
-		return
+	if chosen {
+		d.act.Delay(t, site, d.Delay)
 	}
-	defer recordDelay(&d.stats, t, site, t.Now(), d.Delay)
-	t.Sleep(d.Delay)
 }
 
 // SingleDelay models the RaceFuzzer/CTrigger family: a full analysis pass
@@ -93,7 +91,7 @@ type SingleDelay struct {
 	plan   *core.Plan
 	target trace.SiteID
 	fired  bool
-	stats  core.DelayStats
+	act    *core.Actuator // this run's delay
 }
 
 // NewSingleDelay returns the validator with the paper's fixed delay.
@@ -110,7 +108,7 @@ func (s *SingleDelay) Plan() *core.Plan { return s.plan }
 // HookForRun implements core.Tool: run 1 records; run k validates
 // candidate (k−2) mod |S|.
 func (s *SingleDelay) HookForRun(run int, prev *core.RunReport) memmodel.Hook {
-	s.stats = core.DelayStats{}
+	s.act = core.NewActuator(nil, nil, nil)
 	if run == 1 {
 		s.rec = trace.NewRecorder("single-delay", 0)
 		return core.NewPrepHook(s.rec, s.Opts)
@@ -131,7 +129,7 @@ func (s *SingleDelay) HookForRun(run int, prev *core.RunReport) memmodel.Hook {
 }
 
 // RunStats implements core.Tool.
-func (s *SingleDelay) RunStats() core.DelayStats { return s.stats }
+func (s *SingleDelay) RunStats() core.DelayStats { return s.act.Stats() }
 
 // Candidates implements core.Tool.
 func (s *SingleDelay) Candidates(site trace.SiteID) []core.Pair {
@@ -151,21 +149,5 @@ func (s *SingleDelay) OnAccess(t *sim.Thread, site trace.SiteID, obj trace.ObjID
 		return
 	}
 	s.fired = true
-	defer recordDelay(&s.stats, t, site, t.Now(), s.Delay)
-	t.Sleep(s.Delay)
-}
-
-// recordDelay adds the delay of length d that t began at start to stats,
-// clamped to the time actually slept. Both hooks defer it: a fault in
-// another thread tears t down mid-Sleep, and an interval recorded up
-// front would count the cut-short delay in full. During the unwind
-// t.Now() is the teardown point.
-func recordDelay(stats *core.DelayStats, t *sim.Thread, site trace.SiteID, start sim.Time, d sim.Duration) {
-	iv := core.Interval{Site: site, Start: start, End: t.Now()}
-	if lim := start.Add(d); iv.End > lim {
-		iv.End = lim
-	}
-	stats.Count++
-	stats.Total += iv.Dur()
-	stats.Intervals = append(stats.Intervals, iv)
+	s.act.Delay(t, site, s.Delay)
 }

@@ -145,53 +145,3 @@ func TestDataColliderSamplingIsPerRun(t *testing.T) {
 		t.Fatalf("sampling identical across runs: %v", counts)
 	}
 }
-
-// cutShortProg makes one MemOrder access at 5ms on thread w, while root
-// panics at 10ms. A 10ms delay injected at w's access is cut short by the
-// fault after 5ms of sleep.
-func cutShortProg() *core.SimProgram {
-	return &core.SimProgram{
-		Label: "cut-short",
-		Body: func(root *sim.Thread, h *memmodel.Heap) {
-			r := h.NewRef("a")
-			root.Spawn("w", func(t *sim.Thread) {
-				t.Sleep(5 * sim.Millisecond)
-				r.Init(t, "a/init")
-			})
-			root.Sleep(10 * sim.Millisecond)
-			panic("root gives up")
-		},
-	}
-}
-
-// checkCutShort runs cutShortProg under hook and checks that stats count
-// the one delay at the time actually slept: [5ms, 10ms], not the full
-// 10ms that the run never reached.
-func checkCutShort(t *testing.T, hook memmodel.Hook, stats func() core.DelayStats) {
-	t.Helper()
-	res := cutShortProg().Execute(1, hook)
-	if res.Fault == nil {
-		t.Fatal("run did not fault")
-	}
-	st := stats()
-	if st.Count != 1 || len(st.Intervals) != 1 {
-		t.Fatalf("stats %+v, want one delay", st)
-	}
-	iv := st.Intervals[0]
-	if iv.Site != "a/init" || iv.Start != sim.Time(5*sim.Millisecond) || iv.End != res.End {
-		t.Fatalf("interval %+v, want a/init over [5ms, %v] (the run's end)", iv, res.End)
-	}
-	if st.Total != iv.Dur() {
-		t.Fatalf("Total = %v, want %v, the time slept", st.Total, iv.Dur())
-	}
-}
-
-func TestDataColliderCountsCutShortDelayAsSlept(t *testing.T) {
-	tool := &DataCollider{SampleRate: 1, Delay: 10 * sim.Millisecond}
-	checkCutShort(t, tool.HookForRun(1, nil), tool.RunStats)
-}
-
-func TestSingleDelayCountsCutShortDelayAsSlept(t *testing.T) {
-	tool := &SingleDelay{Delay: 10 * sim.Millisecond, target: "a/init"}
-	checkCutShort(t, tool, tool.RunStats)
-}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"waffle/internal/obs"
 	"waffle/internal/sim"
 	"waffle/internal/trace"
@@ -74,28 +72,27 @@ type delayRec struct {
 	valid      bool
 }
 
-// Online is the same-run identification + injection engine. Candidate
-// pairs, per-site gaps, probabilities, interference edges, and
-// HB-inference removals persist across runs (call BeginRun between runs);
-// per-run histories reset.
+// Online is the same-run identification + injection engine: online
+// near-miss identification as a candidate source for the Actuator.
+// Candidate pairs, per-site gaps, the actuator's probabilities and
+// interference rows, and HB-inference removals persist across runs (call
+// BeginRun between runs); per-run histories reset.
 //
 // Like the Injector, the engine is clock-agnostic (it runs against any
-// Exec) and mutex-guarded so concurrent live goroutines can share it; the
-// lock is never held across an injected sleep.
+// Exec). The actuator's mutex guards the engine's own state too, so
+// concurrent live goroutines can share it; the lock is never held across
+// an injected sleep.
 type Online struct {
+	*Actuator
 	cfg OnlineConfig
 
-	mu sync.Mutex // guards all mutable state below
-
 	// Persistent across runs.
-	pairs     map[pairKey]*Pair
-	bySite    map[trace.SiteID][]*Pair // pairs keyed by delay site
-	byTarget  map[trace.SiteID][]*Pair // pairs keyed by target site
-	lens      map[trace.SiteID]sim.Duration
-	probs     map[trace.SiteID]float64
-	interfere map[trace.SiteID]map[trace.SiteID]bool
-	removed   map[pairKey]bool
-	runs      int
+	pairs    map[pairKey]*Pair
+	bySite   map[trace.SiteID][]*Pair // pairs keyed by delay site
+	byTarget map[trace.SiteID][]*Pair // pairs keyed by target site
+	lens     map[trace.SiteID]sim.Duration
+	removed  map[pairKey]bool
+	runs     int
 
 	// Per-run state.
 	objHist    map[trace.ObjID][]histEv
@@ -103,11 +100,7 @@ type Online struct {
 	lastAccess map[int]sim.Time
 	seenAccess map[int]bool
 	lastDelay  map[trace.SiteID]delayRec
-	active     map[trace.SiteID]int
-	activeTot  int
-	stats      DelayStats
 
-	met        injectMetrics
 	mHBRemoved *obs.Counter // online.pairs_removed_hb
 }
 
@@ -119,15 +112,13 @@ func NewOnline(cfg OnlineConfig) *Online {
 		cfg.HistoryDepth = DefaultHistoryDepth
 	}
 	return &Online{
+		Actuator:   NewActuator(make(map[trace.SiteID]float64), make(map[trace.SiteID][]trace.SiteID), cfg.Metrics),
 		cfg:        cfg,
 		pairs:      make(map[pairKey]*Pair),
 		bySite:     make(map[trace.SiteID][]*Pair),
 		byTarget:   make(map[trace.SiteID][]*Pair),
 		lens:       make(map[trace.SiteID]sim.Duration),
-		probs:      make(map[trace.SiteID]float64),
-		interfere:  make(map[trace.SiteID]map[trace.SiteID]bool),
 		removed:    make(map[pairKey]bool),
-		met:        newInjectMetrics(cfg.Metrics),
 		mHBRemoved: cfg.Metrics.Counter("online.pairs_removed_hb"),
 	}
 }
@@ -142,18 +133,7 @@ func (o *Online) BeginRun() {
 	o.lastAccess = make(map[int]sim.Time)
 	o.seenAccess = make(map[int]bool)
 	o.lastDelay = make(map[trace.SiteID]delayRec)
-	o.active = make(map[trace.SiteID]int)
-	o.activeTot = 0
 	o.stats = DelayStats{}
-}
-
-// Stats returns the current run's injection activity. The returned copy
-// owns its Intervals slice — callers may read it while the engine keeps
-// recording (live runs leak delayed goroutines past their timeout).
-func (o *Online) Stats() DelayStats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.stats.Clone()
 }
 
 // CurrentOptions implements Retunable.
@@ -240,87 +220,38 @@ func (o *Online) Access(e Exec, site trace.SiteID, obj trace.ObjID, kind trace.K
 	}
 	o.maybeDelay(e, site)
 	o.mu.Lock()
+	var removed int64
 	if o.cfg.HBInference {
 		// The propagation check happens when ℓ2 actually executes — after
 		// any delay injected at ℓ2 itself. That is precisely why overlap
 		// blinds the heuristic (§4.1): a thread stalled by its own delay
 		// is indistinguishable from one stalled by synchronization.
-		o.inferHappensBefore(e, site)
+		removed = o.inferHappensBefore(e, site)
 	}
 	o.identify(e, site, obj, kind)
 	o.noteAccess(e, site, obj, kind)
 	o.mu.Unlock()
+	o.mHBRemoved.Add(removed)
 }
 
-// maybeDelay runs the delay-or-not decision for one access. The engine
-// lock is dropped across the sleep itself.
+// maybeDelay runs the delay-or-not decision for one access: the engine's
+// candidate check and delay length under the shared lock, then the
+// actuator's step, which drops the lock across the sleep itself.
 func (o *Online) maybeDelay(e Exec, site trace.SiteID) {
 	o.mu.Lock()
 	if !o.siteLive(site) {
 		o.mu.Unlock()
 		return
 	}
-	p := o.probs[site]
-	if p <= 0 {
-		o.mu.Unlock()
-		return
-	}
-	if e.Rand() >= p {
-		o.mu.Unlock()
-		return
-	}
-	if o.cfg.InterferenceControl && o.interferenceLive(site) {
-		o.stats.Skipped++
-		o.mu.Unlock()
-		o.met.skipped.Inc()
-		return
-	}
-	var d sim.Duration
+	d := o.cfg.FixedDelay
 	if o.cfg.VariableLengths {
 		d = o.cfg.delayFor(o.lens[site])
-	} else {
-		d = o.cfg.FixedDelay
 	}
-	start := e.Now()
-	o.active[site]++
-	o.activeTot++
-	o.mu.Unlock()
-	// Release and record via defer: a bug-exposing delay tears this thread
-	// down mid-Sleep, and a leaked counter would keep interference control
-	// skipping injections at partner sites until the run state resets. The
-	// interval is recorded here too, with the end clamped to the time
-	// actually slept — recording [start, start+d] up front overcounts
-	// Table 6's cumulative delay when a fault or cancel truncates the
-	// sleep (e.Now() during the unwind reflects the teardown point).
-	defer func() {
-		end := e.Now()
-		if lim := start.Add(d); end > lim {
-			end = lim
-		}
-		if end < start {
-			end = start
-		}
-		iv := Interval{Site: site, Start: start, End: end}
+	if start, ok := o.injectLocked(e, site, d, o.cfg.Decay); ok {
 		o.mu.Lock()
-		o.active[site]--
-		o.activeTot--
-		o.stats.add(iv)
+		o.lastDelay[site] = delayRec{start: start, end: start.Add(d), tid: e.ID(), valid: true}
 		o.mu.Unlock()
-		o.met.observeDelay(iv)
-	}()
-	e.Sleep(d)
-
-	np := p - o.cfg.Decay
-	if np < 0 {
-		np = 0
 	}
-	if np == 0 && p > 0 {
-		o.met.floorHits.Inc()
-	}
-	o.mu.Lock()
-	o.lastDelay[site] = delayRec{start: start, end: start.Add(d), tid: e.ID(), valid: true}
-	o.probs[site] = np
-	o.mu.Unlock()
 }
 
 // siteLive reports whether site still delays for at least one live pair.
@@ -334,27 +265,16 @@ func (o *Online) siteLive(site trace.SiteID) bool {
 	return false
 }
 
-// interferenceLive reports in-flight interference. Callers hold o.mu.
-func (o *Online) interferenceLive(site trace.SiteID) bool {
-	if o.activeTot == 0 {
-		return false
-	}
-	for other := range o.interfere[site] {
-		if o.active[other] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // inferHappensBefore implements the TSVD-style heuristic (§2): if a delay
 // injected at ℓ1 was followed by this thread staying silent for the whole
 // delay window and then arriving at ℓ2 with {ℓ1,ℓ2} ∈ S, infer a
 // happens-before edge and remove the pair. Under overlapping delays the
 // stall may actually be another delay — the heuristic cannot tell (§4.1) —
 // so pairs are removed spuriously; that is WaffleBasic's documented
-// failure mode, reproduced here mechanically. Callers hold o.mu.
-func (o *Online) inferHappensBefore(e Exec, site trace.SiteID) {
+// failure mode, reproduced here mechanically. It returns how many pairs
+// it removed. Callers hold o.mu.
+func (o *Online) inferHappensBefore(e Exec, site trace.SiteID) int64 {
+	var removed int64
 	now := e.Now()
 	for _, p := range o.byTarget[site] {
 		k := p.key()
@@ -375,9 +295,10 @@ func (o *Online) inferHappensBefore(e Exec, site trace.SiteID) {
 		}
 		if o.lastAccess[e.ID()] < ld.start {
 			o.removed[k] = true
-			o.mHBRemoved.Inc()
+			removed++
 		}
 	}
+	return removed
 }
 
 // identify is online near-miss tracking: match the current access against
@@ -453,17 +374,6 @@ func (o *Online) admit(e Exec, delaySite, targetSite trace.SiteID, bk BugKind, g
 			}
 		}
 	}
-}
-
-func (o *Online) addInterference(a, b trace.SiteID) {
-	if o.interfere[a] == nil {
-		o.interfere[a] = make(map[trace.SiteID]bool)
-	}
-	if o.interfere[b] == nil {
-		o.interfere[b] = make(map[trace.SiteID]bool)
-	}
-	o.interfere[a][b] = true
-	o.interfere[b][a] = true
 }
 
 // noteAccess appends the access to the object and thread histories.

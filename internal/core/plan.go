@@ -65,6 +65,11 @@ func (p Pair) key() pairKey { return pairKey{p.Delay, p.Target, p.Kind} }
 // Plan is the output of trace analysis and the persistent state threaded
 // between detection runs (Figure 3's "Candidate Set S" artifact plus the
 // interference set I, per-site delay lengths, and per-site probabilities).
+//
+// An Injector reads DelayLen and Interfere without a lock, so neither may
+// be written while an injector runs from the plan: live runs inject from a
+// private Clone and merge it back only after every thread has finished.
+// Probs is the injector's to decay, under its actuator's lock.
 type Plan struct {
 	Label  string       // program the plan was prepared for
 	Window sim.Duration // near-miss δ used during analysis

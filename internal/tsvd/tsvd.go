@@ -76,6 +76,7 @@ type delayRec struct {
 // core.Tool so core.Session can drive it run by run.
 type Tool struct {
 	opts Options
+	act  *core.Actuator // draws against probs; fresh each run
 
 	pairs      map[sitePair]bool
 	removed    map[sitePair]bool
@@ -89,12 +90,11 @@ type Tool struct {
 	lastDelay  map[trace.SiteID]delayRec
 	lastAccess map[int]sim.Time
 	seen       map[int]bool
-	stats      core.DelayStats
 }
 
 // New returns a TSVD instance with defaults applied.
 func New(opts Options) *Tool {
-	return &Tool{
+	t := &Tool{
 		opts:       opts.withDefaults(),
 		pairs:      make(map[sitePair]bool),
 		removed:    make(map[sitePair]bool),
@@ -103,6 +103,8 @@ func New(opts Options) *Tool {
 		instrSites: make(map[trace.SiteID]bool),
 		injSites:   make(map[trace.SiteID]bool),
 	}
+	t.act = core.NewActuator(t.probs, nil, nil)
+	return t
 }
 
 // BeginRun resets per-run state, keeping the learned candidate set.
@@ -112,13 +114,11 @@ func (t *Tool) BeginRun() {
 	t.lastDelay = make(map[trace.SiteID]delayRec)
 	t.lastAccess = make(map[int]sim.Time)
 	t.seen = make(map[int]bool)
-	t.stats = core.DelayStats{}
+	t.act = core.NewActuator(t.probs, nil, nil)
 }
 
-// Stats returns the current run's delay activity. The copy owns its
-// Intervals slice, matching the Injector/Online contract: callers may hold
-// it while the tool keeps recording.
-func (t *Tool) Stats() core.DelayStats { return t.stats.Clone() }
+// Stats returns the current run's delay activity.
+func (t *Tool) Stats() core.DelayStats { return t.act.Stats() }
 
 // InstrumentationSiteCount reports the number of unique thread-unsafe API
 // call sites observed (Table 2's TSV "Instrumentation Sites").
@@ -215,32 +215,9 @@ func (t *Tool) maybeDelay(th *sim.Thread, site trace.SiteID) {
 	if !t.siteLive(site) {
 		return
 	}
-	p := t.probs[site]
-	if p <= 0 || th.World().Rand() >= p {
-		return
+	if start, ok := t.act.Inject(th, site, t.opts.FixedDelay, t.opts.Decay); ok {
+		t.lastDelay[site] = delayRec{start: start, end: start.Add(t.opts.FixedDelay), tid: th.ID(), valid: true}
 	}
-	start := th.Now()
-	end := start.Add(t.opts.FixedDelay)
-	// Record via defer, clamped to end: a fault in another thread tears
-	// this thread down mid-Sleep, and an interval recorded up front would
-	// count the cut-short delay in full. During the unwind th.Now() is the
-	// teardown point.
-	defer func() {
-		iv := core.Interval{Site: site, Start: start, End: th.Now()}
-		if iv.End > end {
-			iv.End = end
-		}
-		t.stats.Count++
-		t.stats.Total += iv.Dur()
-		t.stats.Intervals = append(t.stats.Intervals, iv)
-	}()
-	th.Sleep(t.opts.FixedDelay)
-	t.lastDelay[site] = delayRec{start: start, end: end, tid: th.ID(), valid: true}
-	np := p - t.opts.Decay
-	if np < 0 {
-		np = 0
-	}
-	t.probs[site] = np
 }
 
 func (t *Tool) siteLive(site trace.SiteID) bool {

@@ -6,7 +6,6 @@ import (
 	"waffle/internal/core"
 	"waffle/internal/memmodel"
 	"waffle/internal/sim"
-	"waffle/internal/trace"
 )
 
 // dictRace: two threads hammer a shared dictionary through thread-unsafe
@@ -217,36 +216,5 @@ func TestToolInterfaces(t *testing.T) {
 	}
 	if _, ok := tool.(core.SiteProber); !ok {
 		t.Fatal("Tool does not implement core.SiteProber")
-	}
-}
-
-// A 10ms delay injected at 5ms is cut short when root panics at 10ms:
-// the stats count the 5ms actually slept, not the full delay.
-func TestTSVDCountsCutShortDelayAsSlept(t *testing.T) {
-	tool := New(Options{FixedDelay: 10 * sim.Millisecond, InstrCost: -1})
-	tool.partners["a/call"] = []trace.SiteID{"b/call"}
-	tool.probs["a/call"] = 1
-	res := runOnce(t, tool, 1, func(root *sim.Thread, h *memmodel.Heap) {
-		dict := h.NewRef("dict")
-		root.Spawn("w", func(th *sim.Thread) {
-			th.Sleep(5 * sim.Millisecond)
-			dict.APICall(th, "a/call", true, 0)
-		})
-		root.Sleep(10 * sim.Millisecond)
-		panic("root gives up")
-	})
-	if res.Fault == nil {
-		t.Fatal("run did not fault")
-	}
-	st := tool.Stats()
-	if st.Count != 1 || len(st.Intervals) != 1 {
-		t.Fatalf("stats %+v, want one delay", st)
-	}
-	iv := st.Intervals[0]
-	if iv.Site != "a/call" || iv.Start != sim.Time(5*sim.Millisecond) || iv.End != res.End {
-		t.Fatalf("interval %+v, want a/call over [5ms, %v] (the run's end)", iv, res.End)
-	}
-	if st.Total != iv.Dur() {
-		t.Fatalf("Total = %v, want %v, the time slept", st.Total, iv.Dur())
 	}
 }
