@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"waffle/internal/memmodel"
@@ -101,7 +102,8 @@ func (b *BugReport) WriteJSON(w io.Writer) error {
 
 // ReadBugReportJSON loads a report written by WriteJSON. The fault is
 // reconstructed to the fidelity the wire format carries (enough for
-// replay: seed, site, object, kind, candidates).
+// replay: seed, site, object, kind, candidates). A kind other than the
+// three BugKinds is an error.
 func ReadBugReportJSON(r io.Reader) (*BugReport, error) {
 	var in bugReportJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -115,7 +117,8 @@ func ReadBugReportJSON(r io.Reader) (*BugReport, error) {
 		Candidates: in.Candidates,
 	}
 	var faultErr error
-	if in.Kind == StaleRead.String() {
+	switch in.Kind {
+	case StaleRead.String():
 		b.Stale = &memmodel.StaleReadError{
 			Obj:         trace.ObjID(in.Fault.Object),
 			Name:        in.Fault.ObjName,
@@ -129,7 +132,7 @@ func ReadBugReportJSON(r io.Reader) (*BugReport, error) {
 		}
 		b.Fence = in.Fence
 		faultErr = b.Stale
-	} else {
+	case UseBeforeInit.String(), UseAfterFree.String():
 		b.NullRef = &memmodel.NullRefError{
 			Obj:   trace.ObjID(in.Fault.Object),
 			Name:  in.Fault.ObjName,
@@ -137,6 +140,8 @@ func ReadBugReportJSON(r io.Reader) (*BugReport, error) {
 			State: stateFromString(in.Fault.RefState),
 		}
 		faultErr = b.NullRef
+	default:
+		return nil, fmt.Errorf("core: unknown bug report kind %q (want %v, %v or %v)", in.Kind, UseBeforeInit, UseAfterFree, StaleRead)
 	}
 	b.Fault = &sim.Fault{
 		Err:    faultErr,

@@ -65,3 +65,10 @@ func TestReadBugReportJSONRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
+
+func TestReadBugReportJSONRejectsUnknownKind(t *testing.T) {
+	_, err := ReadBugReportJSON(strings.NewReader(`{"kind": "no-such-kind", "fault": {"ref_state": "disposed"}}`))
+	if err == nil || !strings.Contains(err.Error(), "no-such-kind") {
+		t.Fatalf("err = %v, want an error naming the unknown kind", err)
+	}
+}
