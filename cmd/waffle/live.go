@@ -24,17 +24,27 @@ var simOnlyFlags = map[string]string{
 	"test":   "benchmark tests run in the simulator; pass a live demo name to -live",
 }
 
-// rejectSimOnlyFlags exits with a clear diagnostic when any sim-only flag
-// was explicitly set alongside -live (flag.Visit only reports set flags).
-func rejectSimOnlyFlags() {
+// perTestFlags are rejected under -suite: each writes or validates the
+// artifacts of one exposed bug, and a suite sweep exposes many.
+var perTestFlags = map[string]string{
+	"report": "a suite sweep exposes many bugs; run one with -test to write its report",
+	"plan":   "each test of a suite has its own plan; run one with -test to write it",
+	"trace":  "each test of a suite has its own preparation trace; run one with -test to write it",
+	"replay": "replay validates one exposed bug; run it with -test",
+}
+
+// rejectFlags exits with a clear diagnostic, one line per flag, when any
+// flag in invalid was explicitly set alongside -mode (flag.Visit only
+// reports set flags).
+func rejectFlags(mode string, invalid map[string]string) {
 	var bad []string
 	flag.Visit(func(f *flag.Flag) {
-		if why, ok := simOnlyFlags[f.Name]; ok {
+		if why, ok := invalid[f.Name]; ok {
 			bad = append(bad, fmt.Sprintf("  -%s: %s", f.Name, why))
 		}
 	})
 	if len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "waffle: flag(s) not valid with -live:\n%s\n", strings.Join(bad, "\n"))
+		fmt.Fprintf(os.Stderr, "waffle: flag(s) not valid with -%s:\n%s\n", mode, strings.Join(bad, "\n"))
 		os.Exit(2)
 	}
 }

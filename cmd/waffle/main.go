@@ -77,7 +77,7 @@ func main() {
 		return
 	}
 	if *liveName != "" {
-		rejectSimOnlyFlags()
+		rejectFlags("live", simOnlyFlags)
 		runLive(*liveName, *maxRuns, *liveSample, *jsonOut, *planOut, *traceOut, *liveBench, mc, ctrl)
 		ctrlDone()
 		return
@@ -91,6 +91,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *suite != "" {
+		rejectFlags("suite", perTestFlags)
 		runSuite(*suite, *toolName, *maxRuns, *seed, mc, ctrl)
 		ctrlDone()
 		return
