@@ -87,7 +87,10 @@ func TestMonitorNoFalsePositives(t *testing.T) {
 // restart — the acceptance criterion of the load-smoke e2e, pinned here
 // at unit scope.
 func TestMonitorStopStartRetainsState(t *testing.T) {
-	mon := NewMonitor(11, Options{SampleRate: 1.0})
+	// A 20ms floor on every delay outlasts the body's ~8ms margin: on a
+	// busy host the recording may measure a much shorter gap, whose α·gap
+	// delays would decay away without exposing the bug.
+	mon := NewMonitor(11, Options{SampleRate: 1.0, MinDelay: 20 * time.Millisecond})
 	var exposed bool
 	for i := 0; i < 120 && !exposed; i++ {
 		exposed = mon.Do("/checkout", plantedUAF).Bug != nil
@@ -102,14 +105,25 @@ func TestMonitorStopStartRetainsState(t *testing.T) {
 	if mon.Enabled() {
 		t.Fatal("Enabled() after Stop")
 	}
+	// Stop promises plain runs: no admission, no delay, no bug. The plain
+	// body may still fault on its own when a busy host lets the worker's
+	// 2ms sleep outlast main's 10ms; such a fault is delay-free.
+	dfBefore := mon.Metrics().Snapshot().Counters["live.delay_free_faults"]
+	var faults int64
 	for i := 0; i < 10; i++ {
 		rep := mon.Do("/checkout", plantedUAF)
-		if rep.Admitted || rep.Bug != nil || rep.Fault != nil {
+		if rep.Admitted || rep.Delays != 0 || rep.Bug != nil {
 			t.Fatalf("stopped monitor still detecting: %+v", rep)
 		}
+		if rep.Fault != nil {
+			faults++
+		}
+	}
+	if got := mon.Metrics().Snapshot().Counters["live.delay_free_faults"] - dfBefore; got != faults {
+		t.Fatalf("live.delay_free_faults rose by %d over %d plain faults", got, faults)
 	}
 	if len(mon.Bugs()) != bugsBefore {
-		t.Fatal("stop lost bug reports")
+		t.Fatal("stop changed the bug reports")
 	}
 
 	mon.Start()
