@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -61,6 +62,12 @@ type pairKey struct {
 }
 
 func (p Pair) key() pairKey { return pairKey{p.Delay, p.Target, p.Kind} }
+
+// comparePairs orders pairs by (Delay, Target, Kind), the order of a
+// plan's S.
+func comparePairs(x, y Pair) int {
+	return cmp.Or(cmp.Compare(x.Delay, y.Delay), cmp.Compare(x.Target, y.Target), cmp.Compare(x.Kind, y.Kind))
+}
 
 // Plan is the output of trace analysis and the persistent state threaded
 // between detection runs (Figure 3's "Candidate Set S" artifact plus the

@@ -122,16 +122,8 @@ func (o *onlineTool) HookForRun(run int, prev *RunReport) memmodel.Hook {
 	o.engine.BeginRun()
 	return o.engine
 }
-func (o *onlineTool) RunStats() DelayStats { return o.engine.Stats() }
-func (o *onlineTool) Candidates(s trace.SiteID) []Pair {
-	var out []Pair
-	for _, p := range o.engine.Pairs() {
-		if p.Delay == s || p.Target == s {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+func (o *onlineTool) RunStats() DelayStats             { return o.engine.Stats() }
+func (o *onlineTool) Candidates(s trace.SiteID) []Pair { return o.engine.Candidates(s) }
 
 func TestStressPlantedBugsExposed(t *testing.T) {
 	exposed := 0
