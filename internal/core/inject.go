@@ -90,7 +90,7 @@ type PrepHook struct {
 // NewPrepHook wraps rec with the configured preparation-run overhead.
 func NewPrepHook(rec *trace.Recorder, opts Options) *PrepHook {
 	opts = opts.WithDefaults()
-	return &PrepHook{rec: rec, cost: opts.InstrCost + opts.TraceCost}
+	return &PrepHook{rec: rec, cost: max(opts.InstrCost, 0) + max(opts.TraceCost, 0)}
 }
 
 // OnAccess implements memmodel.Hook.
