@@ -5,6 +5,7 @@ import (
 
 	"waffle/internal/memmodel"
 	"waffle/internal/sim"
+	"waffle/internal/trace"
 )
 
 // onlineRun drives one program run under the engine and returns it.
@@ -40,6 +41,30 @@ func TestOnlineIdentifiesNearMissPair(t *testing.T) {
 	}
 	if o.InjectionSiteCount() != 1 {
 		t.Fatalf("injection sites = %d", o.InjectionSiteCount())
+	}
+}
+
+// stillExec is an Exec whose clock never moves: every access happens at
+// the same instant, so every near miss has gap 0.
+type stillExec struct{ id int }
+
+func (e stillExec) ID() int            { return e.id }
+func (e stillExec) Now() sim.Time      { return 0 }
+func (e stillExec) Rand() float64      { return 0 }
+func (e stillExec) Sleep(sim.Duration) {}
+
+// TestOnlineCountsZeroGapInjectionSite admits one init→use pair at gap 0
+// and requires its delay site to count as an injection site.
+func TestOnlineCountsZeroGapInjectionSite(t *testing.T) {
+	o := NewOnline(WaffleBasicConfig(Options{}))
+	o.BeginRun()
+	o.Access(stillExec{1}, "init", 1, trace.KindInit, 0)
+	o.Access(stillExec{2}, "use", 1, trace.KindUse, 0)
+	if pairs := o.Pairs(); len(pairs) != 1 || pairs[0].Gap != 0 {
+		t.Fatalf("pairs = %+v, want one pair at gap 0", pairs)
+	}
+	if got := o.InjectionSiteCount(); got != 1 {
+		t.Fatalf("injection sites = %d, want 1", got)
 	}
 }
 
