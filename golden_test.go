@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +33,8 @@ import (
 	"waffle/internal/apps"
 	"waffle/internal/core"
 	"waffle/internal/server"
+	"waffle/internal/tsvd"
+	"waffle/internal/wafflebasic"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the files under testdata/golden from the current code")
@@ -82,21 +85,25 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	t.Fatalf("%s differs from the golden", path)
 }
 
-// suiteDigest runs one test through a fresh Waffle session and hashes
-// everything the session decided: each run's report, the bug report (its
-// text and JSON forms), the final plan and the preparation trace.
-func suiteDigest(t *testing.T, test *apps.Test, seed int64) string {
+// hashSession runs one test through a fresh session of tool, at the
+// golden budget for its kind, and writes to h what the session decided:
+// each run's report (with every delay interval when intervals is set) and
+// the bug report in its text and JSON forms.
+func hashSession(t *testing.T, h io.Writer, test *apps.Test, seed int64, tool core.Tool, intervals bool) {
 	t.Helper()
 	budget := goldenCleanRuns
 	if test.Bug != nil {
 		budget = goldenBugRuns
 	}
-	wf := core.NewWaffle(core.Options{})
-	out := (&core.Session{Prog: test.Prog, Tool: wf, MaxRuns: budget, BaseSeed: seed}).Expose()
-	h := sha256.New()
+	out := (&core.Session{Prog: test.Prog, Tool: tool, MaxRuns: budget, BaseSeed: seed}).Expose()
 	for _, r := range out.Runs {
 		fmt.Fprintf(h, "run=%d seed=%d end=%d timeout=%v delays=%d total=%d skipped=%d outcome=%s\n",
 			r.Run, r.Seed, int64(r.End), r.TimedOut, r.Stats.Count, int64(r.Stats.Total), r.Stats.Skipped, r.Outcome)
+		if intervals {
+			for _, iv := range r.Stats.Intervals {
+				fmt.Fprintf(h, "delay %s %d %d\n", iv.Site, int64(iv.Start), int64(iv.End))
+			}
+		}
 	}
 	if out.Bug != nil {
 		// String omits the fault's op label and thread stacks; the JSON
@@ -108,6 +115,16 @@ func suiteDigest(t *testing.T, test *apps.Test, seed int64) string {
 	} else {
 		fmt.Fprintf(h, "bug none\n")
 	}
+}
+
+// suiteDigest runs one test through a fresh Waffle session and hashes
+// everything the session decided: each run's report, the bug report (its
+// text and JSON forms), the final plan and the preparation trace.
+func suiteDigest(t *testing.T, test *apps.Test, seed int64) string {
+	t.Helper()
+	wf := core.NewWaffle(core.Options{})
+	h := sha256.New()
+	hashSession(t, h, test, seed, wf, false)
 	if plan := wf.Plan(); plan != nil {
 		if err := plan.WriteJSON(h); err != nil {
 			t.Fatalf("%s: encode plan: %v", test.Name, err)
@@ -134,6 +151,52 @@ func TestGoldenSuiteDigests(t *testing.T) {
 		t.Fatalf("registry holds %d tests, the golden covers 935", i)
 	}
 	checkGolden(t, "suite.txt", []byte(b.String()))
+}
+
+// onlineDigests runs one test through a TSVD, a WaffleBasic and a no-prep
+// Waffle session and hashes, per session, everything it decided: each
+// run's report and delay intervals, the bug report, the final candidate
+// pairs, the live and injection site counts, and TSVD's instrumentation
+// site count.
+func onlineDigests(t *testing.T, test *apps.Test, seed int64) string {
+	t.Helper()
+	hashPairs := func(h io.Writer, pairs []core.Pair) {
+		for _, p := range pairs {
+			fmt.Fprintf(h, "pair %s %s %d %d %d\n", p.Delay, p.Target, p.Kind, int64(p.Gap), p.Count)
+		}
+	}
+	tv := tsvd.New(tsvd.Options{})
+	ht := sha256.New()
+	hashSession(t, ht, test, seed, tv, true)
+	fmt.Fprintf(ht, "pairs %v\nlive=%d injection=%d instrumentation=%d\n", tv.Pairs(), tv.LiveSites(), tv.InjectionSiteCount(), tv.InstrumentationSiteCount())
+
+	wb := wafflebasic.New(core.Options{})
+	hb := sha256.New()
+	hashSession(t, hb, test, seed, wb, true)
+	hashPairs(hb, wb.Pairs())
+	fmt.Fprintf(hb, "live=%d injection=%d\n", wb.LiveSites(), wb.InjectionSiteCount())
+
+	np := core.NewWaffle(core.Options{DisablePrepRun: true})
+	hn := sha256.New()
+	hashSession(t, hn, test, seed, np, true)
+	hashPairs(hn, np.Online().Pairs())
+	fmt.Fprintf(hn, "live=%d injection=%d\n", np.LiveSites(), np.Online().InjectionSiteCount())
+	return fmt.Sprintf("%x %x %x", ht.Sum(nil), hb.Sum(nil), hn.Sum(nil))
+}
+
+// TestGoldenOnlineSuiteDigests pins the same-run engines on every suite
+// test at suiteDigest's seeds and budgets: one digest each of a TSVD, a
+// WaffleBasic and a no-prep session.
+func TestGoldenOnlineSuiteDigests(t *testing.T) {
+	var b strings.Builder
+	i := 0
+	for _, app := range apps.Registry() {
+		for _, test := range app.Tests {
+			fmt.Fprintf(&b, "%s %s\n", test.Name, onlineDigests(t, test, int64(i)*7_919+1))
+			i++
+		}
+	}
+	checkGolden(t, "suite-online.txt", []byte(b.String()))
 }
 
 // goldenJobs are the campaign jobs whose results are pinned, as JSON job

@@ -6,6 +6,7 @@ import (
 	"waffle/internal/core"
 	"waffle/internal/memmodel"
 	"waffle/internal/sim"
+	"waffle/internal/trace"
 )
 
 // dictRace: two threads hammer a shared dictionary through thread-unsafe
@@ -216,5 +217,172 @@ func TestToolInterfaces(t *testing.T) {
 	}
 	if _, ok := tool.(core.SiteProber); !ok {
 		t.Fatal("Tool does not implement core.SiteProber")
+	}
+}
+
+// TestTSVDEdgeCases pins TSVD's behaviour where the pair rule differs from
+// the MemOrder rule, and where its bookkeeping has no MemOrder analog.
+func TestTSVDEdgeCases(t *testing.T) {
+	noCost := Options{InstrCost: -1}
+	// apiPair has thread w write at a when the run starts and root call
+	// b, a write, after sleeping gap.
+	apiPair := func(gap sim.Duration) func(*sim.Thread, *memmodel.Heap) {
+		return func(root *sim.Thread, h *memmodel.Heap) {
+			dict := h.NewRef("dict")
+			w := root.Spawn("w", func(th *sim.Thread) { dict.APICall(th, "a", true, 0) })
+			root.Sleep(gap)
+			dict.APICall(root, "b", true, 0)
+			root.Join(w)
+		}
+	}
+	rows := []struct {
+		name string
+		test func(t *testing.T)
+	}{
+		{"gap exactly δ", func(t *testing.T) {
+			// |gap| ≤ δ admits δ itself and nothing past it.
+			for _, c := range []struct {
+				gap   sim.Duration
+				pairs int
+			}{{core.DefaultWindow, 1}, {core.DefaultWindow + 1, 0}} {
+				tool := New(noCost)
+				runOnce(t, tool, 1, apiPair(c.gap))
+				if n := len(tool.Pairs()); n != c.pairs {
+					t.Fatalf("gap %v: %d pairs %v, want %d", c.gap, n, tool.Pairs(), c.pairs)
+				}
+			}
+			// The MemOrder rule admits 0 ≤ gap < δ: δ itself is refused.
+			for _, c := range []struct {
+				gap   sim.Duration
+				pairs int
+			}{{core.DefaultWindow - 1, 1}, {core.DefaultWindow, 0}} {
+				o := core.NewOnline(core.WaffleBasicConfig(core.Options{InstrCost: -1}))
+				o.BeginRun()
+				(&core.SimProgram{Body: func(root *sim.Thread, h *memmodel.Heap) {
+					r := h.NewRef("r")
+					w := root.Spawn("w", func(th *sim.Thread) { r.Init(th, "init") })
+					root.Sleep(c.gap)
+					r.UseIfLive(root, "use")
+					root.Join(w)
+				}}).Execute(1, o)
+				if n := len(o.Pairs()); n != c.pairs {
+					t.Fatalf("MemOrder rule at gap %v: %d pairs %v, want %d", c.gap, n, o.Pairs(), c.pairs)
+				}
+			}
+		}},
+		{"HB removal silences both sites", func(t *testing.T) {
+			// w delays at a while root waits for it, so root is silent
+			// through a's whole delay and then reaches b: the inference
+			// removes {a,b}, and neither end delays again.
+			tool := New(Options{InstrCost: -1, FixedDelay: 10 * sim.Millisecond})
+			body := func(root *sim.Thread, h *memmodel.Heap) {
+				dict, other := h.NewRef("dict"), h.NewRef("other")
+				var done sim.Event
+				w := root.Spawn("w", func(th *sim.Thread) {
+					th.Sleep(sim.Millisecond)
+					dict.APICall(th, "a", true, 0)
+					done.Set(th)
+				})
+				other.APICall(root, "pre", false, 0)
+				done.Wait(root)
+				dict.APICall(root, "b", true, 0)
+				root.Join(w)
+			}
+			runOnce(t, tool, 1, body)
+			if got := tool.Pairs(); len(got) != 1 || tool.LiveSites() != 2 {
+				t.Fatalf("identification run: pairs %v, %d live sites; want {a,b} live at both ends", got, tool.LiveSites())
+			}
+			runOnce(t, tool, 2, body)
+			if n := tool.Stats().Count; n != 2 {
+				t.Fatalf("removal run injected %d delays, want 2 (a, then b)", n)
+			}
+			if got := tool.Pairs(); len(got) != 0 || tool.LiveSites() != 0 {
+				t.Fatalf("after the inference: pairs %v, %d live sites; want none", got, tool.LiveSites())
+			}
+			if n := tool.InjectionSiteCount(); n != 2 {
+				t.Fatalf("injection sites = %d, want 2: removal forgets no site", n)
+			}
+			runOnce(t, tool, 3, body)
+			if n := tool.Stats().Count; n != 0 {
+				t.Fatalf("%d delays after the pair was removed", n)
+			}
+		}},
+		{"self pair", func(t *testing.T) {
+			// Two threads call the same site: {s,s} is one pair, one
+			// injection site and one candidate.
+			tool := New(noCost)
+			body := func(root *sim.Thread, h *memmodel.Heap) {
+				dict := h.NewRef("dict")
+				w := root.Spawn("w", func(th *sim.Thread) { dict.APICall(th, "s", true, 0) })
+				root.Sleep(sim.Millisecond)
+				dict.APICall(root, "s", true, 0)
+				root.Join(w)
+			}
+			runOnce(t, tool, 1, body)
+			if got := tool.Pairs(); len(got) != 1 || got[0] != [2]trace.SiteID{"s", "s"} {
+				t.Fatalf("pairs = %v, want [[s s]]", got)
+			}
+			if c := tool.Candidates("s"); len(c) != 1 || c[0] != (core.Pair{Delay: "s", Target: "s"}) {
+				t.Fatalf("candidates at s = %+v, want the one self pair", c)
+			}
+			if tool.InjectionSiteCount() != 1 || tool.LiveSites() != 1 {
+				t.Fatalf("%d injection sites, %d live; want 1 and 1", tool.InjectionSiteCount(), tool.LiveSites())
+			}
+			runOnce(t, tool, 2, body)
+			st := tool.Stats()
+			if st.Count == 0 {
+				t.Fatal("the self pair never delayed")
+			}
+			for _, iv := range st.Intervals {
+				if iv.Site != "s" {
+					t.Fatalf("delay at %s, want only s", iv.Site)
+				}
+			}
+		}},
+		{"MemOrder accesses are invisible", func(t *testing.T) {
+			// At the default instrumentation cost, a body of MemOrder
+			// accesses runs as long as it does uninstrumented.
+			memOnly := &core.SimProgram{Body: func(root *sim.Thread, h *memmodel.Heap) {
+				r := h.NewRef("r")
+				r.Init(root, "init")
+				r.Use(root, "use")
+				r.Dispose(root, "disp")
+			}}
+			tool := New(Options{})
+			tool.BeginRun()
+			if got, want := memOnly.Execute(1, tool).End, memOnly.Execute(1, nil).End; got != want {
+				t.Fatalf("MemOrder-only run ended at %v under TSVD, %v uninstrumented", got, want)
+			}
+			if n := tool.InstrumentationSiteCount(); n != 0 {
+				t.Fatalf("%d instrumentation sites, want 0", n)
+			}
+			// More MemOrder accesses than the history holds, between two
+			// API calls on the same object, push nothing out of it.
+			tool = New(noCost)
+			runOnce(t, tool, 1, func(root *sim.Thread, h *memmodel.Heap) {
+				dict := h.NewRef("dict")
+				w := root.Spawn("w", func(th *sim.Thread) { dict.APICall(th, "a", true, 0) })
+				root.Sleep(sim.Millisecond)
+				dict.Init(root, "init")
+				for i := 0; i < 2*core.DefaultHistoryDepth; i++ {
+					dict.Use(root, "use")
+				}
+				dict.APICall(root, "b", true, 0)
+				root.Join(w)
+			})
+			if got := tool.Pairs(); len(got) != 1 || got[0] != [2]trace.SiteID{"a", "b"} {
+				t.Fatalf("pairs = %v, want [[a b]]", got)
+			}
+		}},
+		{"not retunable", func(t *testing.T) {
+			// The adaptive controller retunes only core.Retunable tools;
+			// TSVD sessions keep their options.
+			if _, ok := any(New(Options{})).(core.Retunable); ok {
+				t.Fatal("tsvd.Tool implements core.Retunable")
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, row.test)
 	}
 }
