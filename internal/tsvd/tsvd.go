@@ -6,14 +6,15 @@
 //
 // TSVD instruments call sites of thread-unsafe APIs only. At run time it
 // maintains a candidate set of site pairs via near-miss tracking (same
-// object, different threads, |τ1−τ2| ≤ δ), removes pairs via
-// happens-before inference, and injects fixed-length delays with
-// probability decay, identifying and injecting in the same runs (§2).
+// object, different threads, |τ1−τ2| ≤ δ, at least one write), removes
+// pairs via happens-before inference, and injects fixed-length delays
+// with probability decay, identifying and injecting in the same runs (§2).
+// That is WaffleBasic's design under a different pair rule, so the engine
+// is core.Online configured by core.TSVDConfig; this package gives it
+// TSVD's options, its Table 2 counters and the Tool face.
 package tsvd
 
 import (
-	"sort"
-
 	"waffle/internal/core"
 	"waffle/internal/memmodel"
 	"waffle/internal/sim"
@@ -21,7 +22,8 @@ import (
 )
 
 // Options configures the detector. Zero values take TSVD's defaults (the
-// same δ and delay length Waffle's evaluation uses, §6.1).
+// same δ and delay length Waffle's evaluation uses, §6.1); a negative
+// InstrCost means none.
 type Options struct {
 	Window     sim.Duration // near-miss window δ
 	FixedDelay sim.Duration // delay length
@@ -29,133 +31,60 @@ type Options struct {
 	InstrCost  sim.Duration // per-instrumented-call overhead
 }
 
-func (o Options) withDefaults() Options {
-	if o.Window <= 0 {
-		o.Window = core.DefaultWindow
-	}
-	if o.FixedDelay <= 0 {
-		o.FixedDelay = core.DefaultFixedDelay
-	}
-	if o.Decay <= 0 {
-		o.Decay = core.DefaultDecay
-	}
-	if o.InstrCost == 0 {
-		o.InstrCost = core.DefaultInstrCost
-	} else if o.InstrCost < 0 {
-		o.InstrCost = 0
-	}
-	return o
-}
-
-// sitePair is an unordered candidate pair {ℓ1, ℓ2}.
-type sitePair struct{ a, b trace.SiteID }
-
-func mkPair(a, b trace.SiteID) sitePair {
-	if b < a {
-		a, b = b, a
-	}
-	return sitePair{a, b}
-}
-
-type histEv struct {
-	site  trace.SiteID
-	tid   int
-	t     sim.Time
-	write bool
-}
-
-type delayRec struct {
-	start, end sim.Time
-	tid        int
-	valid      bool
-}
-
 // Tool is a TSVD instance. State (candidate set, probabilities, inferred
 // removals) persists across runs; call BeginRun between runs. It
 // implements memmodel.Hook and reacts only to thread-unsafe API kinds, and
-// core.Tool so core.Session can drive it run by run.
+// core.Tool so core.Session can drive it run by run. It is deliberately
+// not core.Retunable, so the adaptive controller leaves its options alone.
 type Tool struct {
-	opts Options
-	act  *core.Actuator // draws against probs; fresh each run
-
-	pairs      map[sitePair]bool
-	removed    map[sitePair]bool
-	partners   map[trace.SiteID][]trace.SiteID
-	probs      map[trace.SiteID]float64
+	engine     *core.Online
 	instrSites map[trace.SiteID]bool
-	injSites   map[trace.SiteID]bool
-	runs       int
-
-	hist       map[trace.ObjID][]histEv
-	lastDelay  map[trace.SiteID]delayRec
-	lastAccess map[int]sim.Time
-	seen       map[int]bool
 }
 
-// New returns a TSVD instance with defaults applied.
+// New returns a TSVD instance with defaults applied. The engine records no
+// metrics.
 func New(opts Options) *Tool {
-	t := &Tool{
-		opts:       opts.withDefaults(),
-		pairs:      make(map[sitePair]bool),
-		removed:    make(map[sitePair]bool),
-		partners:   make(map[trace.SiteID][]trace.SiteID),
-		probs:      make(map[trace.SiteID]float64),
+	return &Tool{
+		engine: core.NewOnline(core.TSVDConfig(core.Options{
+			Window:     opts.Window,
+			FixedDelay: opts.FixedDelay,
+			Decay:      opts.Decay,
+			InstrCost:  opts.InstrCost,
+		})),
 		instrSites: make(map[trace.SiteID]bool),
-		injSites:   make(map[trace.SiteID]bool),
 	}
-	t.act = core.NewActuator(t.probs, nil, nil)
-	return t
 }
 
 // BeginRun resets per-run state, keeping the learned candidate set.
-func (t *Tool) BeginRun() {
-	t.runs++
-	t.hist = make(map[trace.ObjID][]histEv)
-	t.lastDelay = make(map[trace.SiteID]delayRec)
-	t.lastAccess = make(map[int]sim.Time)
-	t.seen = make(map[int]bool)
-	t.act = core.NewActuator(t.probs, nil, nil)
-}
+func (t *Tool) BeginRun() { t.engine.BeginRun() }
 
 // Stats returns the current run's delay activity.
-func (t *Tool) Stats() core.DelayStats { return t.act.Stats() }
+func (t *Tool) Stats() core.DelayStats { return t.engine.Stats() }
 
 // InstrumentationSiteCount reports the number of unique thread-unsafe API
 // call sites observed (Table 2's TSV "Instrumentation Sites").
 func (t *Tool) InstrumentationSiteCount() int { return len(t.instrSites) }
 
 // InjectionSiteCount reports the number of unique sites ever admitted to
-// the candidate set (Table 2's TSV "Injection Sites").
-func (t *Tool) InjectionSiteCount() int { return len(t.injSites) }
+// the candidate set, at either end of a pair (Table 2's TSV "Injection
+// Sites").
+func (t *Tool) InjectionSiteCount() int { return t.engine.InjectionSiteCount() }
 
 // LiveSites implements core.SiteProber: the number of sites that can still
 // inject — some un-removed pair and positive probability. Zero means the
 // tool has gone quiet: every remaining run is injection-free, which lets
 // the adaptive controller scale a quiet TSVD session to zero.
-func (t *Tool) LiveSites() int {
-	n := 0
-	for site, p := range t.probs {
-		if p > 0 && t.siteLive(site) {
-			n++
-		}
-	}
-	return n
-}
+func (t *Tool) LiveSites() int { return t.engine.LiveSites() }
 
-// Pairs returns the live candidate pairs, sorted for determinism.
+// Pairs returns the live candidate pairs {a,b} as [a,b] with a ≤ b,
+// sorted.
 func (t *Tool) Pairs() [][2]trace.SiteID {
 	var out [][2]trace.SiteID
-	for p := range t.pairs {
-		if !t.removed[p] {
-			out = append(out, [2]trace.SiteID{p.a, p.b})
+	for _, p := range t.engine.Pairs() {
+		if p.Delay <= p.Target {
+			out = append(out, [2]trace.SiteID{p.Delay, p.Target})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
@@ -179,12 +108,12 @@ func (t *Tool) RunStats() core.DelayStats { return t.Stats() }
 
 // Candidates implements core.Tool. TSVD has no MemOrder candidate notion,
 // so its unordered TSV site pairs involving site map through core.Pair for
-// report display only.
+// report display only, with zero kind, gap and count.
 func (t *Tool) Candidates(site trace.SiteID) []core.Pair {
 	var out []core.Pair
-	for _, pr := range t.Pairs() {
-		if pr[0] == site || pr[1] == site {
-			out = append(out, core.Pair{Delay: pr[0], Target: pr[1]})
+	for _, p := range t.engine.Candidates(site) {
+		if p.Delay <= p.Target {
+			out = append(out, core.Pair{Delay: p.Delay, Target: p.Target})
 		}
 	}
 	return out
@@ -192,109 +121,10 @@ func (t *Tool) Candidates(site trace.SiteID) []core.Pair {
 
 // OnAccess implements memmodel.Hook.
 func (t *Tool) OnAccess(th *sim.Thread, site trace.SiteID, obj trace.ObjID, kind trace.Kind, dur sim.Duration) {
-	if !kind.IsAPI() {
-		return
+	if kind.IsAPI() {
+		t.instrSites[site] = true
 	}
-	if t.opts.InstrCost > 0 {
-		th.Sleep(t.opts.InstrCost)
-	}
-	t.instrSites[site] = true
-	t.maybeDelay(th, site)
-	t.inferHB(th, site)
-	t.identify(th, site, obj, kind == trace.KindAPIWrite)
-	now := th.Now()
-	t.hist[obj] = append(t.hist[obj], histEv{site: site, tid: th.ID(), t: now, write: kind == trace.KindAPIWrite})
-	if n := len(t.hist[obj]); n > core.DefaultHistoryDepth {
-		t.hist[obj] = t.hist[obj][n-core.DefaultHistoryDepth:]
-	}
-	t.lastAccess[th.ID()] = now
-	t.seen[th.ID()] = true
-}
-
-func (t *Tool) maybeDelay(th *sim.Thread, site trace.SiteID) {
-	if !t.siteLive(site) {
-		return
-	}
-	if start, ok := t.act.Inject(th, site, t.opts.FixedDelay, t.opts.Decay); ok {
-		t.lastDelay[site] = delayRec{start: start, end: start.Add(t.opts.FixedDelay), tid: th.ID(), valid: true}
-	}
-}
-
-func (t *Tool) siteLive(site trace.SiteID) bool {
-	for _, other := range t.partners[site] {
-		if !t.removed[mkPair(site, other)] {
-			return true
-		}
-	}
-	return false
-}
-
-// inferHB removes pairs whose delay appears to have propagated as a stall
-// of the partner site's thread (§2's happens-before inference).
-func (t *Tool) inferHB(th *sim.Thread, site trace.SiteID) {
-	now := th.Now()
-	for _, other := range t.partners[site] {
-		p := mkPair(site, other)
-		if t.removed[p] {
-			continue
-		}
-		ld := t.lastDelay[other]
-		if !ld.valid || ld.tid == th.ID() {
-			continue
-		}
-		if ld.end > now || now.Sub(ld.end) > t.opts.Window {
-			continue
-		}
-		if !t.seen[th.ID()] {
-			continue
-		}
-		if t.lastAccess[th.ID()] < ld.start {
-			t.removed[p] = true
-		}
-	}
-}
-
-// identify is TSVD's near-miss tracking: same object, different threads,
-// |τ1−τ2| ≤ δ, at least one write.
-func (t *Tool) identify(th *sim.Thread, site trace.SiteID, obj trace.ObjID, write bool) {
-	now := th.Now()
-	for _, h := range t.hist[obj] {
-		if h.tid == th.ID() {
-			continue
-		}
-		gap := now.Sub(h.t)
-		if gap < 0 {
-			gap = -gap
-		}
-		if gap > t.opts.Window {
-			continue
-		}
-		if !h.write && !write {
-			continue
-		}
-		p := mkPair(h.site, site)
-		if t.removed[p] || t.pairs[p] {
-			continue
-		}
-		t.pairs[p] = true
-		t.addPartner(p.a, p.b)
-		t.addPartner(p.b, p.a)
-		for _, s := range []trace.SiteID{p.a, p.b} {
-			t.injSites[s] = true
-			if _, ok := t.probs[s]; !ok {
-				t.probs[s] = 1.0
-			}
-		}
-	}
-}
-
-func (t *Tool) addPartner(a, b trace.SiteID) {
-	for _, s := range t.partners[a] {
-		if s == b {
-			return
-		}
-	}
-	t.partners[a] = append(t.partners[a], b)
+	t.engine.OnAccess(th, site, obj, kind, dur)
 }
 
 // Exposure is the outcome of an Expose search.
