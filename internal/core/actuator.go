@@ -80,9 +80,9 @@ func (m *injectMetrics) observeDelay(iv Interval) {
 // delay is in flight, sleep, record the time slept, and decay the
 // probability after a delay that exposed nothing. Candidate sources decide
 // which sites are candidates and how long their delays are — the analyzed
-// plan (Injector), online near-miss identification (Online), TSVD's API
-// pairs, DataCollider's per-run sample, SingleDelay's one target — and
-// hand each delay to the actuator.
+// plan (Injector), online near-miss identification over MemOrder or TSVD's
+// API pairs (Online), DataCollider's per-run sample, SingleDelay's one
+// target — and hand each delay to the actuator.
 //
 // The actuator is clock-agnostic: it runs against any Exec, so the same
 // code delays simulated threads on virtual time and live goroutines on
