@@ -285,7 +285,7 @@ func Generate(cfg Config) *Program {
 	cfg = cfg.withDefaults()
 	g := &gen{
 		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rng: sim.NewRand(cfg.Seed),
 		p:   &Program{cfg: cfg},
 	}
 	g.addThread("main") // index 0

@@ -93,7 +93,7 @@ func (h *Heap) EnableTSO(cfg TSOConfig) {
 	cfg = cfg.withDefaults()
 	h.tso = &tsoState{
 		cfg:         cfg,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         sim.NewRand(cfg.Seed),
 		lastVisible: make(map[int]sim.Time),
 	}
 }

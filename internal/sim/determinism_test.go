@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 )
 
@@ -125,7 +124,7 @@ func TestChaosDeterminism(t *testing.T) {
 // TestChaosNoLeaksAcrossManyWorlds: repeated chaos worlds must not strand
 // goroutines (the handoff/park protocol covers every primitive).
 func TestChaosNoLeaksAcrossManyWorlds(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := goroutinesAtRest(t)
 	for seed := int64(0); seed < 30; seed++ {
 		if _, _, err := chaosRun(seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -44,7 +44,7 @@ type Thread struct {
 	parent  int
 	name    string
 	state   threadState
-	resume  chan resumeMsg
+	resume  chan resumeMsg // borrowed from the carrier running the thread
 	tls     map[TLSKey]any
 	wakeGen uint64
 
@@ -100,9 +100,9 @@ func (t *Thread) TLS(key TLSKey) any { return t.tls[key] }
 // threads at Spawn (via TLSForker when implemented).
 func (t *Thread) SetTLS(key TLSKey, v any) { t.tls[key] = v }
 
-// run is the goroutine body wrapping the user function. When the function
-// returns or unwinds, the thread passes the baton on before its goroutine
-// exits: to the next thread, or back to Run.
+// run wraps the user function on the thread's carrier goroutine. When the
+// function returns or unwinds, the thread passes the baton on before its
+// carrier goes idle: to the next thread, or back to Run.
 func (t *Thread) run(fn func(*Thread)) {
 	if msg := <-t.resume; msg.kill {
 		t.state = stateDone

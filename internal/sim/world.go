@@ -4,13 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Config parameterizes a World.
 type Config struct {
 	// Seed drives all scheduling tie-breaks and duration jitter. Two runs
-	// with equal seeds and equal thread programs are identical.
+	// with equal seeds and equal thread programs are identical. The
+	// world's stream is rand.New(rand.NewSource(Seed))'s, seeded lazily
+	// (see NewRand).
 	Seed int64
 
 	// Jitter is the relative spread applied to Work durations, e.g. 0.05
@@ -66,16 +67,19 @@ func (f *Fault) Error() string {
 
 // World is a deterministic virtual-time scheduler. Create one with NewWorld,
 // populate it via Run's root thread, and inspect the outcome afterwards.
-// A World must not be reused after Run returns.
+// A World must not be reused after Run returns, and its random stream is
+// gone by then: Run hands the generator on to the next world, so a draw
+// after Run panics. Threads run on pooled goroutines (see carrierPool);
+// which goroutine runs a thread is not part of the schedule.
 type World struct {
 	cfg     Config
 	rng     *rand.Rand
 	now     Time
-	nextTID int
+	nextTID int // the last thread or task id handed out
 	events  int
 
 	queue    eventQueue
-	threads  map[int]*Thread
+	threads  []*Thread // every thread spawned, in id order
 	alive    int
 	fault    *Fault
 	err      error // why the run ended; set by step
@@ -87,16 +91,17 @@ type World struct {
 	toRun chan struct{}
 }
 
-// NewWorld returns a World configured by cfg.
+// NewWorld returns a World configured by cfg. Its generator is recycled
+// from a finished world and re-seeded with cfg.Seed; nothing is drawn
+// before Run.
 func NewWorld(cfg Config) *World {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = DefaultMaxEvents
 	}
 	return &World{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		threads: make(map[int]*Thread),
-		toRun:   make(chan struct{}),
+		cfg:   cfg,
+		rng:   getRand(cfg.Seed),
+		toRun: make(chan struct{}),
 	}
 }
 
@@ -135,7 +140,9 @@ func (w *World) Jitter(d Duration) Duration {
 // from thread to thread: whichever thread parks or finishes runs the
 // scheduler's step itself and resumes the thread it picks (see step). The
 // baton comes back to Run when the run is over, and Run unwinds every
-// thread still alive.
+// thread still alive. A call unwound that way can still draw (a deferred
+// Sleep reschedules before it unwinds), so the generator is recycled
+// only after that.
 func (w *World) Run(main func(*Thread)) error {
 	if w.nextTID != 0 {
 		return errors.New("sim: World.Run called twice")
@@ -147,6 +154,8 @@ func (w *World) Run(main func(*Thread)) error {
 		<-w.toRun
 	}
 	w.killAll()
+	worldRands.Put(w.rng)
+	w.rng = nil
 	return w.err
 }
 
@@ -218,23 +227,16 @@ func (w *World) canceled() bool {
 }
 
 // killAll unwinds every live thread so Run leaks no goroutines. Each
-// killed thread hands the baton straight back to Run.
+// killed thread hands the baton straight back to Run. The walk runs to
+// the table's current end, so a thread that a deferred call spawns
+// during the unwinding is unwound too.
 func (w *World) killAll() {
 	w.stopping = true
-	ids := make([]int, 0, len(w.threads))
-	for id, t := range w.threads {
-		if t.state != stateDone {
-			ids = append(ids, id)
+	for i := 0; i < len(w.threads); i++ {
+		if t := w.threads[i]; t.state != stateDone {
+			t.resume <- resumeMsg{kill: true}
+			<-w.toRun
 		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		t := w.threads[id]
-		if t.state == stateDone {
-			continue
-		}
-		t.resume <- resumeMsg{kill: true}
-		<-w.toRun
 	}
 }
 
@@ -255,11 +257,10 @@ func (w *World) schedule(t *Thread, wake Time) {
 func (w *World) newThread(parent *Thread, name string, fn func(*Thread)) *Thread {
 	w.nextTID++
 	t := &Thread{
-		w:      w,
-		id:     w.nextTID,
-		name:   name,
-		resume: make(chan resumeMsg),
-		tls:    make(map[TLSKey]any),
+		w:    w,
+		id:   w.nextTID,
+		name: name,
+		tls:  make(map[TLSKey]any),
 	}
 	if parent != nil {
 		t.parent = parent.id
@@ -271,9 +272,9 @@ func (w *World) newThread(parent *Thread, name string, fn func(*Thread)) *Thread
 			}
 		}
 	}
-	w.threads[t.id] = t
+	w.threads = append(w.threads, t)
 	w.alive++
-	go t.run(fn)
+	carriers.start(t, fn)
 	return t
 }
 
@@ -284,13 +285,7 @@ func (w *World) stacks(first *Thread) []string {
 		out = append(out, fmt.Sprintf("thread %d (%s) @ %s", t.id, t.name, t.Op()))
 	}
 	add(first)
-	ids := make([]int, 0, len(w.threads))
-	for id := range w.threads {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		t := w.threads[id]
+	for _, t := range w.threads {
 		if t != first && t.state != stateDone {
 			add(t)
 		}
@@ -301,14 +296,8 @@ func (w *World) stacks(first *Thread) []string {
 // Threads reports a snapshot of all threads ever created, ordered by id.
 // Intended for post-run inspection and reports.
 func (w *World) Threads() []ThreadInfo {
-	ids := make([]int, 0, len(w.threads))
-	for id := range w.threads {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]ThreadInfo, 0, len(ids))
-	for _, id := range ids {
-		t := w.threads[id]
+	out := make([]ThreadInfo, 0, len(w.threads))
+	for _, t := range w.threads {
 		out = append(out, ThreadInfo{ID: t.id, Parent: t.parent, Name: t.name, Done: t.state == stateDone, LastOp: t.Op()})
 	}
 	return out

@@ -450,10 +450,37 @@ func assertNoGoroutineLeak(t *testing.T, base int) {
 	}
 }
 
+// goroutinesAtRest waits until every goroutine the carrier pool started
+// has returned, idle ones included, and then reports
+// runtime.NumGoroutine(). Leak tests take their base from it: a base
+// counted with idle carriers would let one that expires during the test
+// offset a leaked goroutine. The smallest of a few samples leaves out a
+// carrier still returning and the pool's sweep timer.
+func goroutinesAtRest(t *testing.T) int {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		live := carriers.started.Load() - carriers.exited.Load()
+		if live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pooled goroutines still running or idle", live)
+		}
+		time.Sleep(idleFor / 2)
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		time.Sleep(100 * time.Microsecond)
+		n = min(n, runtime.NumGoroutine())
+	}
+	return n
+}
+
 func TestNoGoroutineLeakAfterFault(t *testing.T) {
 	// Many worlds that fault with live threads must not strand goroutines:
 	// killAll unwinds them.
-	base := runtime.NumGoroutine()
+	base := goroutinesAtRest(t)
 	for i := 0; i < 100; i++ {
 		w := NewWorld(Config{Seed: int64(i)})
 		_ = w.Run(func(main *Thread) {
@@ -477,7 +504,8 @@ func TestNoGoroutineLeakAfterFault(t *testing.T) {
 // thread whose park finds the queue empty, a limit tripped or the run
 // canceled. It hands the baton back to Run, which then unwinds the
 // bystanders: threads blocked for good, asleep past the end, spawned but
-// never started, or blocking again in a deferred call while unwound.
+// never started, blocking again in a deferred call while unwound, or
+// spawned by a deferred call while their spawner is unwound.
 func TestNoGoroutineLeakOnEveryRunEnding(t *testing.T) {
 	boom := errors.New("boom")
 	bystanders := func(main *Thread) {
@@ -598,10 +626,21 @@ func TestNoGoroutineLeakOnEveryRunEnding(t *testing.T) {
 				main.Throw(boom)
 			})
 		}, isFault},
+		{"spawn-while-unwinding", func(seed int64) error {
+			return run(Config{Seed: seed}, func(main *Thread) {
+				main.Spawn("defers", func(t *Thread) {
+					defer t.Spawn("late", func(t *Thread) { t.Sleep(Millisecond) })
+					var never Event
+					never.Wait(t)
+				})
+				main.Sleep(Millisecond)
+				main.Throw(boom)
+			})
+		}, isFault},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			base := goroutinesAtRest(t)
 			for seed := int64(0); seed < 20; seed++ {
 				if err := c.run(seed); !c.ok(err) {
 					t.Fatalf("seed %d: Run = %v", seed, err)
