@@ -171,19 +171,13 @@ func New(cfg Config) *Controller {
 }
 
 // Target returns (creating on first use) the named target, backed by a
-// fresh per-target registry. Nil — a no-op Tuner — on a nil or Disabled
-// controller; callers must then leave Session.Tuner unset (a typed nil
-// in the interface field would still short-circuit, but the nil check in
-// Session is cheaper).
+// fresh per-target registry: wire Target.Registry into the engine's
+// Options.Metrics so the controller can read the target's injection
+// counters (inject.decay_floor_hits in particular). Nil — a no-op Tuner —
+// on a nil or Disabled controller; callers must then leave Session.Tuner
+// unset (a typed nil in the interface field would still short-circuit,
+// but the nil check in Session is cheaper).
 func (c *Controller) Target(name string) *Target {
-	return c.TargetWithRegistry(name, obs.New())
-}
-
-// TargetWithRegistry is Target with a caller-supplied per-target
-// registry — wire the same registry into the engine's Options.Metrics so
-// the controller can read the target's injection counters
-// (inject.decay_floor_hits in particular).
-func (c *Controller) TargetWithRegistry(name string, reg *obs.Registry) *Target {
 	if c == nil || c.cfg.Disabled {
 		return nil
 	}
@@ -192,7 +186,7 @@ func (c *Controller) TargetWithRegistry(name string, reg *obs.Registry) *Target 
 	if t, ok := c.targets[name]; ok {
 		return t
 	}
-	t := &Target{c: c, name: name, reg: reg}
+	t := &Target{c: c, name: name, reg: obs.New()}
 	c.targets[name] = t
 	return t
 }

@@ -8,7 +8,6 @@ import (
 
 	"waffle/internal/core"
 	"waffle/internal/memmodel"
-	"waffle/internal/obs"
 	"waffle/internal/sim"
 )
 
@@ -89,8 +88,7 @@ func TestScaleToZeroOnDeadSitesAfterDrySpell(t *testing.T) {
 // on the decay-floor counter plus a doubled dry spell.
 func TestScaleToZeroUnknownSitesNeedsFloorAndLongSpell(t *testing.T) {
 	c := New(Config{DrySpellRuns: 2})
-	reg := obs.New()
-	tgt := c.TargetWithRegistry("p/tsvd", reg)
+	tgt := c.Target("p/tsvd")
 
 	// Dry spell without any floor hit: never stop (the tool may simply
 	// have no candidates yet).
@@ -102,8 +100,8 @@ func TestScaleToZeroUnknownSitesNeedsFloorAndLongSpell(t *testing.T) {
 	}
 	// Floor hit recorded in the per-target registry: the doubled spell
 	// (4 here) applies from now on.
-	reg.Counter("inject.decay_floor_hits").Inc()
-	tgt2 := c.TargetWithRegistry("p2/tsvd", reg)
+	tgt2 := c.Target("p2/tsvd")
+	tgt2.Registry().Counter("inject.decay_floor_hits").Inc()
 	stoppedAt := 0
 	for run := 2; run <= 10; run++ {
 		if d := tgt2.TuneRun(core.TuneContext{Tool: "tsvd", Run: run, MaxRuns: 25,

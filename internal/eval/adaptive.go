@@ -91,7 +91,7 @@ func RunAdaptiveComparison(o DiffOptions, ctrlCfg control.Config) *AdaptiveRepor
 	adaptive := RunDifferential(ao)
 
 	rep := &AdaptiveReport{
-		Seed: o.Seed, Programs: o.Programs, MaxRuns: o.MaxRuns,
+		Seed: o.Corpus.Seed, Programs: o.Corpus.Programs, MaxRuns: o.MaxRuns,
 		Fixed:    summarizeArm(fixed),
 		Adaptive: summarizeArm(adaptive),
 		Parity:   true,

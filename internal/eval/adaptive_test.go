@@ -3,6 +3,7 @@ package eval
 import (
 	"encoding/json"
 	"testing"
+	"waffle/internal/server"
 
 	"waffle/internal/control"
 	"waffle/internal/obs"
@@ -15,7 +16,7 @@ import (
 // sample and the tsvd summary reported P50 = P90 = P99 = budget+1, a
 // "runs-to-exposure" no session ever achieved.
 func TestMissSentinelExcludedFromPercentiles(t *testing.T) {
-	o := DiffOptions{Seed: 1200, Programs: 4, Mixed: true}
+	o := DiffOptions{Corpus: server.CorpusSpec{Seed: 1200, Programs: 4, Size: "mixed"}}
 	rep := RunDifferential(o)
 	if len(rep.Violations) != 0 {
 		t.Fatalf("oracle violations: %v", rep.Violations)
@@ -57,7 +58,7 @@ func TestMissSentinelExcludedFromPercentiles(t *testing.T) {
 // A nil controller and a Disabled controller must produce byte-identical
 // differential reports: the adaptive machinery is invisible until armed.
 func TestDisabledControllerReportIdentical(t *testing.T) {
-	base := DiffOptions{Seed: 1300, Programs: 4, Mixed: true}
+	base := DiffOptions{Corpus: server.CorpusSpec{Seed: 1300, Programs: 4, Size: "mixed"}}
 
 	off := base
 	off.Controller = nil
@@ -84,7 +85,7 @@ func TestDisabledControllerReportIdentical(t *testing.T) {
 // exposed-bug set per tool, strictly reduce total runs, add no oracle
 // violations, and emit a schema-valid campaign metrics snapshot.
 func TestAdaptiveComparisonSmoke(t *testing.T) {
-	rep := RunAdaptiveComparison(DiffOptions{Seed: 1000, Programs: 8, Mixed: true}, control.Config{})
+	rep := RunAdaptiveComparison(DiffOptions{Corpus: server.CorpusSpec{Seed: 1000, Programs: 8, Size: "mixed"}}, control.Config{})
 	assertAdaptiveReport(t, rep)
 }
 
@@ -95,7 +96,7 @@ func TestAdaptiveCorpusAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100-program corpus: skipped in -short")
 	}
-	rep := RunAdaptiveComparison(DiffOptions{Seed: 1000, Programs: 100, Mixed: true}, control.Config{})
+	rep := RunAdaptiveComparison(DiffOptions{Corpus: server.CorpusSpec{Seed: 1000, Programs: 100, Size: "mixed"}}, control.Config{})
 	assertAdaptiveReport(t, rep)
 	if len(rep.Retunes) == 0 {
 		t.Fatal("controller made no retune decisions over 100 programs")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+	"waffle/internal/server"
 )
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -29,7 +30,7 @@ func TestRunDifferentialCtxCancelMidCorpus(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	rep := RunDifferentialCtx(ctx, DiffOptions{Seed: 1000, Programs: 200, Workers: 2})
+	rep := RunDifferentialCtx(ctx, DiffOptions{Corpus: server.CorpusSpec{Seed: 1000, Programs: 200}, Workers: 2})
 	if !rep.Cancelled {
 		t.Fatal("report not flagged Cancelled")
 	}
@@ -50,8 +51,8 @@ func TestRunDifferentialCtxCancelMidCorpus(t *testing.T) {
 
 // A Background context reproduces the context-free sweep bit-for-bit.
 func TestRunDifferentialCtxBackgroundMatches(t *testing.T) {
-	a := RunDifferential(DiffOptions{Seed: 77, Programs: 2})
-	b := RunDifferentialCtx(context.Background(), DiffOptions{Seed: 77, Programs: 2})
+	a := RunDifferential(DiffOptions{Corpus: server.CorpusSpec{Seed: 77, Programs: 2}})
+	b := RunDifferentialCtx(context.Background(), DiffOptions{Corpus: server.CorpusSpec{Seed: 77, Programs: 2}})
 	if a.Cancelled || b.Cancelled {
 		t.Fatal("uncancelled sweeps flagged Cancelled")
 	}

@@ -3,12 +3,13 @@ package eval
 import (
 	"encoding/json"
 	"testing"
+	"waffle/internal/server"
 )
 
 // TestDifferentialSmoke runs a small mixed corpus twice and asserts the
 // harness itself is deterministic: same options, byte-identical report.
 func TestDifferentialSmoke(t *testing.T) {
-	opt := DiffOptions{Seed: 4242, Programs: 6, Mixed: true, Workers: 2}
+	opt := DiffOptions{Corpus: server.CorpusSpec{Seed: 4242, Programs: 6, Size: "mixed"}, Workers: 2}
 	r1 := RunDifferential(opt)
 	if len(r1.Violations) > 0 {
 		t.Fatalf("violations on smoke corpus: %v", r1.Violations)
@@ -46,7 +47,7 @@ func TestDifferentialCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus")
 	}
-	rep := RunDifferential(DiffOptions{Seed: 1000, Programs: 100, Mixed: true})
+	rep := RunDifferential(DiffOptions{Corpus: server.CorpusSpec{Seed: 1000, Programs: 100, Size: "mixed"}})
 
 	if len(rep.Violations) > 0 {
 		n := len(rep.Violations)

@@ -40,6 +40,12 @@ type CorpusSpec struct {
 	TSO bool `json:"tso,omitempty"`
 }
 
+// Validate rejects a corpus of unknown size.
+func (c CorpusSpec) Validate() error {
+	_, err := c.sizeFor(0)
+	return err
+}
+
 // sizeFor resolves the scale for corpus index i.
 func (c CorpusSpec) sizeFor(i int) (genprog.Size, error) {
 	switch c.Size {
@@ -74,10 +80,10 @@ type EngineSpec struct {
 	TSVD tsvd.Options `json:"tsvd,omitempty"`
 }
 
-// tool builds a fresh tool of the spec's kind. Tools are stateful across
-// runs (probabilities decay), so every search gets its own. A non-nil
-// metrics replaces the core tools' registry.
-func (e EngineSpec) tool(metrics *obs.Registry) (core.Tool, error) {
+// NewTool builds a fresh tool of the spec's kind. Tools are stateful
+// across runs (probabilities decay), so every search gets its own. A
+// non-nil metrics replaces the core tools' registry.
+func (e EngineSpec) NewTool(metrics *obs.Registry) (core.Tool, error) {
 	opts := e.Core
 	if metrics != nil {
 		opts.Metrics = metrics
@@ -140,10 +146,10 @@ func (s JobSpec) withDefaults() JobSpec {
 // Validate rejects specs the manager cannot run. It is called on the
 // defaulted spec, so callers see the effective configuration's errors.
 func (s JobSpec) Validate() error {
-	if _, err := s.Corpus.sizeFor(0); err != nil {
+	if err := s.Corpus.Validate(); err != nil {
 		return err
 	}
-	if _, err := s.Engine.tool(nil); err != nil {
+	if _, err := s.Engine.NewTool(nil); err != nil {
 		return err
 	}
 	if s.Corpus.Programs > 100000 {
