@@ -399,7 +399,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Window != DefaultWindow || o.Alpha != DefaultAlpha || o.Decay != DefaultDecay {
 		t.Fatalf("defaults = %+v", o)
 	}
-	if o.FixedDelay != DefaultFixedDelay || o.MaxDetectionRuns != DefaultMaxRuns {
+	if o.FixedDelay != DefaultFixedDelay {
 		t.Fatalf("defaults = %+v", o)
 	}
 	// Explicit values survive.

@@ -59,10 +59,6 @@ type Options struct {
 	// the preparation run. A negative cost means none.
 	TraceCost sim.Duration
 
-	// MaxDetectionRuns bounds Session.Expose. The paper's evaluation caps
-	// search at 50 runs (§6.2).
-	MaxDetectionRuns int
-
 	// TSO enables weak-memory analysis: programs run with per-thread store
 	// buffers (SimProgram.TSO), the analyzer admits fork-ordered
 	// write→read pairs as StaleRead candidates — order cannot invert, but
@@ -106,7 +102,7 @@ const (
 	DefaultMinDelay   = 100 * sim.Microsecond
 	DefaultInstrCost  = 700 * sim.Microsecond
 	DefaultTraceCost  = 250 * sim.Microsecond
-	DefaultMaxRuns    = 50
+	DefaultMaxRuns    = 50 // the paper's evaluation caps search at 50 runs (§6.2)
 )
 
 // WithDefaults returns o with every unset numeric field replaced by the
@@ -133,9 +129,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.TraceCost == 0 {
 		o.TraceCost = DefaultTraceCost
-	}
-	if o.MaxDetectionRuns <= 0 {
-		o.MaxDetectionRuns = DefaultMaxRuns
 	}
 	return o
 }

@@ -273,7 +273,7 @@ func (o *Outcome) Slowdown() float64 {
 type Session struct {
 	Prog     Program
 	Tool     Tool
-	MaxRuns  int   // total run budget, preparation included
+	MaxRuns  int   // total run budget, preparation included; <= 0 means DefaultMaxRuns
 	BaseSeed int64 // run i uses seed BaseSeed+i-1
 
 	// Metrics receives session-level campaign counters (runs, faults,

@@ -146,7 +146,6 @@ func (o Options) coreOptions() core.Options {
 		MinDelay:                   sim.Duration(o.MinDelay.Nanoseconds()),
 		InstrCost:                  -1,
 		TraceCost:                  -1,
-		MaxDetectionRuns:           o.MaxRuns,
 		DisableCustomLengths:       o.FixedDelays,
 		DisableInterferenceControl: o.NoInterferenceControl,
 		Metrics:                    o.Metrics,
