@@ -273,6 +273,7 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 	first, last := j.cursor(), j.spec.Corpus.Programs-1
 	spec, ctl := j.spec, j.ctl
 	m.mu.Unlock()
+	engine := Engine{Name: spec.Engine.Kind, NewTool: spec.Engine.NewTool, MaxRuns: spec.MaxRuns, DisarmRuns: spec.DisarmRuns}
 
 	var commitErr error
 	_, runErr := sched.RunCtx(ctx, pool, first, last,
@@ -280,7 +281,7 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 			if m.opts.hook != nil {
 				m.opts.hook(j.id, i)
 			}
-			return runProgram(jctx, spec, i, ctl, m.opts.Metrics), nil
+			return runProgram(jctx, spec.Corpus, i, engine, ctl, m.opts.Metrics), nil
 		},
 		func(r sched.Result[*ProgramResult]) bool {
 			if r.Err != nil {
