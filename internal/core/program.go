@@ -23,7 +23,8 @@ type ContextProgram interface {
 // SimProgram adapts a scenario body to the Program interface: each Execute
 // builds a fresh world and heap, attaches a root vector clock (the TLS
 // analog the instrumenter plants in every thread), installs the tool's
-// hook, and runs the body.
+// hook, and runs the body. Once the run is over, Execute releases the
+// world and heap, so their threads and reference cells serve later runs.
 type SimProgram struct {
 	// Label names the program/test in reports.
 	Label string
@@ -53,7 +54,10 @@ type SimProgram struct {
 	// to quantify the trade-off.
 	FullHB bool
 	// Body is the scenario: application threads performing instrumented
-	// object operations against the heap.
+	// object operations against the heap. The world and heap are released
+	// when the run ends, so the body must keep none of the run's threads,
+	// reference cells or sim synchronization primitives for a later run:
+	// declare them inside the body.
 	Body func(t *sim.Thread, h *memmodel.Heap)
 }
 
@@ -105,5 +109,9 @@ func (p *SimProgram) execute(cancel <-chan struct{}, seed int64, hook memmodel.H
 			res.TimedOut = true
 		}
 	}
+	// The run owns its world and heap alone, and res holds nothing of
+	// theirs: hand their memory to the next run.
+	h.Release()
+	w.Release()
 	return res
 }

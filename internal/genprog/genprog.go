@@ -320,6 +320,7 @@ func Generate(cfg Config) *Program {
 	}
 
 	g.p.armed = make([]bool, len(g.p.bugs))
+	sim.RecycleRand(g.rng)
 	return g.p
 }
 

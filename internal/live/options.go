@@ -135,8 +135,9 @@ func (o Options) withDefaults() Options {
 // space. Every duration field is set explicitly — core's defaults are
 // denominated in virtual microseconds and would be three orders of
 // magnitude off here. Instrumentation and trace-logging costs are
-// disabled (-1 → 0 in WithDefaults): on the wall clock the overhead of
-// the hook is physical and needs no modeling.
+// disabled: WithDefaults keeps -1, which the hooks read as no cost, since
+// on the wall clock the overhead of the hook is physical and needs no
+// modeling.
 func (o Options) coreOptions() core.Options {
 	return core.Options{
 		Window:                     sim.Duration(o.Window.Nanoseconds()),

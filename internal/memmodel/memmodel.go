@@ -18,6 +18,7 @@ package memmodel
 
 import (
 	"fmt"
+	"sync"
 
 	"waffle/internal/sim"
 	"waffle/internal/trace"
@@ -105,18 +106,42 @@ type TSV struct {
 	T            sim.Time
 }
 
-// Heap allocates reference cells and owns the active hook.
+// Heap allocates reference cells and owns the active hook. A heap serves
+// one run. An owner that is done with it calls Release, which hands its
+// reference cells, store buffers, API windows, TSV list and TSO
+// generator to the next NewHeap; nothing may use the heap or its cells
+// afterwards.
 type Heap struct {
 	hook     Hook
 	nextID   trace.ObjID
 	opCost   sim.Duration
-	refs     []*Ref
+	refs     []*Ref    // in allocation order; Ref structs past the length are spares
 	tso      *tsoState // non-nil after EnableTSO: store-buffer semantics
 	accessed bool      // an instrumented access has executed
 
 	active map[trace.ObjID][]apiWindow
 	tsvs   []TSV
+
+	mem *heapMem // where Release puts the memory back; nil once released
 }
+
+// heapMem is the memory a released heap leaves to the next one: the
+// reference table, whose backing array keeps the Ref structs (and their
+// store buffers) past its length for NewRef to reuse, the API-window map,
+// the TSV list and the TSO state.
+type heapMem struct {
+	refs   []*Ref
+	active map[trace.ObjID][]apiWindow
+	tsvs   []TSV
+	tso    tsoState
+}
+
+var heapMems = sync.Pool{New: func() any {
+	return &heapMem{
+		active: make(map[trace.ObjID][]apiWindow),
+		tso:    tsoState{lastVisible: make(map[int]sim.Time)},
+	}
+}}
 
 // Census summarizes the heap's reference population — the
 // allocation-intensity view behind §6.4's "these three applications
@@ -140,9 +165,28 @@ type apiWindow struct {
 // application's own work, not instrumentation overhead).
 const DefaultOpCost = 1 * sim.Microsecond
 
-// NewHeap returns an empty heap with DefaultOpCost and no hook.
+// NewHeap returns an empty heap with DefaultOpCost and no hook. Its memory
+// comes from a released heap when one is free.
 func NewHeap() *Heap {
-	return &Heap{opCost: DefaultOpCost, active: make(map[trace.ObjID][]apiWindow)}
+	m := heapMems.Get().(*heapMem)
+	return &Heap{opCost: DefaultOpCost, refs: m.refs, active: m.active, tsvs: m.tsvs, mem: m}
+}
+
+// Release hands the heap's memory to the next NewHeap. Only an owner that
+// is done with the heap calls it, once no thread of its run can execute:
+// afterwards neither the heap nor its reference cells may be used. It
+// panics when called twice.
+func (h *Heap) Release() {
+	m := h.mem
+	if m == nil {
+		panic("memmodel: Heap.Release called twice")
+	}
+	sim.RecycleRand(m.tso.rng)
+	m.tso.rng = nil
+	clear(h.active)
+	m.refs, m.active, m.tsvs = h.refs[:0], h.active, h.tsvs[:0]
+	*h = Heap{}
+	heapMems.Put(m)
 }
 
 // SetHook installs the active instrumentation hook (nil for an
@@ -165,10 +209,18 @@ func (h *Heap) SetOpCost(d sim.Duration) { h.opCost = d }
 func (h *Heap) TSVs() []TSV { return h.tsvs }
 
 // NewRef allocates a reference cell in StateNil. The name is a debugging
-// label (e.g. "m_poller"); identity is the fresh ObjID.
+// label (e.g. "m_poller"); identity is the fresh ObjID. The cell may be
+// one a released heap left, with every field reset.
 func (h *Heap) NewRef(name string) *Ref {
 	h.nextID++
-	r := &Ref{heap: h, id: h.nextID, name: name}
+	var r *Ref
+	if n := len(h.refs); n < cap(h.refs) {
+		r = h.refs[:n+1][n]
+	}
+	if r == nil {
+		r = new(Ref)
+	}
+	*r = Ref{heap: h, id: h.nextID, name: name, pending: r.pending[:0]}
 	h.refs = append(h.refs, r)
 	return r
 }

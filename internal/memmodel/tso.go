@@ -85,17 +85,17 @@ type tsoState struct {
 }
 
 // EnableTSO switches the heap to TSO semantics. Must be called before the
-// first instrumented access, like SetHook.
+// first instrumented access, like SetHook. The flush generator is seeded
+// with cfg.Seed; Release recycles it.
 func (h *Heap) EnableTSO(cfg TSOConfig) {
 	if h.accessed {
 		panic("memmodel: EnableTSO after the first instrumented access")
 	}
-	cfg = cfg.withDefaults()
-	h.tso = &tsoState{
-		cfg:         cfg,
-		rng:         sim.NewRand(cfg.Seed),
-		lastVisible: make(map[int]sim.Time),
-	}
+	ts := &h.mem.tso
+	ts.cfg = cfg.withDefaults()
+	ts.rng = sim.NewRand(ts.cfg.Seed)
+	clear(ts.lastVisible)
+	h.tso = ts
 }
 
 // TSOEnabled reports whether the heap runs under TSO semantics.

@@ -64,10 +64,10 @@ func TestIdleCarriersExpire(t *testing.T) {
 }
 
 // BenchmarkWorldRun measures one small run whole: NewWorld, a root thread
-// that spawns four threads and joins them, and about 100 scheduler events.
-// Unlike the per-event benchmarks it counts what a run costs to set up:
-// seeding the generator and starting the thread goroutines. Run with
-// -benchmem.
+// that spawns four threads and joins them, about 100 scheduler events, and
+// Release. Unlike the per-event benchmarks it counts what a run costs to
+// set up: seeding the generator, the threads a released world left, and
+// starting the thread goroutines. Run with -benchmem.
 func BenchmarkWorldRun(b *testing.B) {
 	b.ReportAllocs()
 	events := 0
@@ -90,6 +90,7 @@ func BenchmarkWorldRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		events += w.events
+		w.Release()
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

@@ -64,7 +64,8 @@ func TestRandMatchesMathRand(t *testing.T) {
 
 // TestRandReseed re-seeds used generators, as a recycled world generator
 // is, at every boundary of the lazy build: each must then draw what a
-// fresh generator draws. The pooled path, getRand after a Put, must too.
+// fresh generator draws. The pooled path, NewRand after a RecycleRand,
+// must too.
 func TestRandReseed(t *testing.T) {
 	for _, used := range []int{0, 1, 272, 273, 274, 333, 334, 335, 606, 607, 608, 5000} {
 		r := NewRand(42)
@@ -75,9 +76,9 @@ func TestRandReseed(t *testing.T) {
 		sameStream(t, fmt.Sprintf("re-seeded after %d draws", used), r, mathRand(-7), 1500)
 	}
 	for i := int64(0); i < 20; i++ {
-		r := getRand(i)
+		r := NewRand(i)
 		sameStream(t, fmt.Sprint("pooled seed ", i), r, mathRand(i), int(i)*50)
-		worldRands.Put(r)
+		RecycleRand(r)
 	}
 }
 

@@ -45,7 +45,7 @@ func (h *TaskHandle) Done() bool { return h.done.IsSet() }
 
 type taskItem struct {
 	handle *TaskHandle
-	ctx    map[TLSKey]any
+	ctx    []tlsEntry
 	fn     func(*Thread)
 }
 
@@ -89,19 +89,18 @@ func (p *TaskPool) work(t *Thread) {
 }
 
 // Submit enqueues fn as a task. The task's async-local context is forked
-// from the submitting thread's TLS at this moment: TaskForker values run
-// their fork protocol with the task's fresh id; everything else is copied
-// by reference. Returns a handle to Wait on.
+// from the submitting thread's TLS at this moment, in SetTLS order:
+// TaskForker values run their fork protocol with the task's fresh id;
+// everything else is copied by reference. Returns a handle to Wait on.
 func (p *TaskPool) Submit(t *Thread, name string, fn func(*Thread)) *TaskHandle {
 	t.w.nextTID++
 	handle := &TaskHandle{id: t.w.nextTID, name: name}
-	ctx := make(map[TLSKey]any, len(t.tls))
-	for k, v := range t.tls {
-		if f, ok := v.(TaskForker); ok {
-			ctx[k] = f.ForkTask(t, handle.id)
-		} else {
-			ctx[k] = v
+	ctx := make([]tlsEntry, 0, len(t.tls))
+	for _, e := range t.tls {
+		if f, ok := e.val.(TaskForker); ok {
+			e.val = f.ForkTask(t, handle.id)
 		}
+		ctx = append(ctx, e)
 	}
 	p.queue.Send(t, &taskItem{handle: handle, ctx: ctx, fn: fn})
 	return handle

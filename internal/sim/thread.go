@@ -35,9 +35,17 @@ type TLSForker interface {
 	ForkTLS(parent, child *Thread) any
 }
 
+// tlsEntry is one slot of a thread's TLS.
+type tlsEntry struct {
+	key TLSKey
+	val any
+}
+
 // Thread is a cooperatively scheduled unit of execution inside a World.
 // All methods must be called from the thread's own context (i.e. inside the
 // function passed to Run or Spawn), except the read-only ID/Parent/Name.
+// A released world hands its Thread structs to the next world's threads
+// (see World.Release), so a *Thread must not outlive its world's owner.
 type Thread struct {
 	w       *World
 	id      int
@@ -45,7 +53,7 @@ type Thread struct {
 	name    string
 	state   threadState
 	resume  chan resumeMsg // borrowed from the carrier running the thread
-	tls     map[TLSKey]any
+	tls     []tlsEntry     // in the order of each key's first SetTLS
 	wakeGen uint64
 
 	// The current operation label: op from SetOp, or, when opAccess is
@@ -94,11 +102,27 @@ func (t *Thread) Op() string {
 }
 
 // TLS returns the thread-local value stored under key, or nil.
-func (t *Thread) TLS(key TLSKey) any { return t.tls[key] }
+func (t *Thread) TLS(key TLSKey) any {
+	for i := range t.tls {
+		if t.tls[i].key == key {
+			return t.tls[i].val
+		}
+	}
+	return nil
+}
 
 // SetTLS stores a thread-local value under key. Values are copied to child
-// threads at Spawn (via TLSForker when implemented).
-func (t *Thread) SetTLS(key TLSKey, v any) { t.tls[key] = v }
+// threads at Spawn (via TLSForker when implemented), in the order in which
+// their keys were first set.
+func (t *Thread) SetTLS(key TLSKey, v any) {
+	for i := range t.tls {
+		if t.tls[i].key == key {
+			t.tls[i].val = v
+			return
+		}
+	}
+	t.tls = append(t.tls, tlsEntry{key, v})
+}
 
 // run wraps the user function on the thread's carrier goroutine. When the
 // function returns or unwinds, the thread passes the baton on before its
@@ -149,7 +173,7 @@ func (t *Thread) finish() {
 			t.w.schedule(j, t.w.now)
 		}
 	}
-	t.joiners = nil
+	t.joiners = t.joiners[:0]
 }
 
 // park gives up the baton and blocks until resumed. The caller must have

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // Config parameterizes a World.
@@ -67,10 +68,13 @@ func (f *Fault) Error() string {
 
 // World is a deterministic virtual-time scheduler. Create one with NewWorld,
 // populate it via Run's root thread, and inspect the outcome afterwards.
-// A World must not be reused after Run returns, and its random stream is
-// gone by then: Run hands the generator on to the next world, so a draw
-// after Run panics. Threads run on pooled goroutines (see carrierPool);
-// which goroutine runs a thread is not part of the schedule.
+// A World runs once. Its random stream is gone after Run: Run hands the
+// generator on to the next world, so a draw after Run panics. An owner
+// that is done with a finished world calls Release, which hands the
+// world's threads, thread table, event queue and baton channel to the
+// next NewWorld; nothing may use the world or its threads afterwards.
+// Threads run on pooled goroutines (see carrierPool); which goroutine runs
+// a thread is not part of the schedule.
 type World struct {
 	cfg     Config
 	rng     *rand.Rand
@@ -89,20 +93,58 @@ type World struct {
 	// toRun carries the baton back to Run: once when the run is over,
 	// then once per thread killAll unwinds.
 	toRun chan struct{}
+
+	mem  *worldMem // where Release puts the memory back; nil once released
+	done bool      // Run has returned
 }
 
+// worldMem is the memory a released world leaves to the next one: its
+// thread table, whose backing array keeps the Thread structs past its
+// length for newThread to reuse, the event queue's array and the baton
+// channel. An unbuffered channel holds nothing once Run has returned.
+type worldMem struct {
+	threads []*Thread
+	items   []eventItem
+	toRun   chan struct{}
+}
+
+var worldMems = sync.Pool{New: func() any { return &worldMem{toRun: make(chan struct{})} }}
+
 // NewWorld returns a World configured by cfg. Its generator is recycled
-// from a finished world and re-seeded with cfg.Seed; nothing is drawn
-// before Run.
+// from a finished world and re-seeded with cfg.Seed, and its threads,
+// thread table, event queue and baton channel from a released one;
+// nothing is drawn before Run.
 func NewWorld(cfg Config) *World {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = DefaultMaxEvents
 	}
+	m := worldMems.Get().(*worldMem)
 	return &World{
-		cfg:   cfg,
-		rng:   getRand(cfg.Seed),
-		toRun: make(chan struct{}),
+		cfg:     cfg,
+		rng:     getRand(cfg.Seed),
+		threads: m.threads,
+		queue:   eventQueue{items: m.items},
+		toRun:   m.toRun,
+		mem:     m,
 	}
+}
+
+// Release hands the finished world's memory to the next NewWorld. Only an
+// owner that is done with the world calls it: afterwards neither the
+// world nor any of its threads may be used, and Threads reads nothing.
+// The Fault and errors Run returned stay valid. Release panics before Run
+// has returned and when called twice.
+func (w *World) Release() {
+	if !w.done {
+		panic("sim: World.Release before Run returned")
+	}
+	m := w.mem
+	if m == nil {
+		panic("sim: World.Release called twice")
+	}
+	m.threads, m.items = w.threads[:0], w.queue.items[:0]
+	w.threads, w.queue.items, w.toRun, w.mem = nil, nil, nil, nil
+	worldMems.Put(m)
 }
 
 // Now reports the current virtual time. Safe to call from thread context or
@@ -154,8 +196,9 @@ func (w *World) Run(main func(*Thread)) error {
 		<-w.toRun
 	}
 	w.killAll()
-	worldRands.Put(w.rng)
+	rands.Put(w.rng)
 	w.rng = nil
+	w.done = true
 	return w.err
 }
 
@@ -254,22 +297,28 @@ func (w *World) schedule(t *Thread, wake Time) {
 	w.queue.push(eventItem{wake: wake, prio: w.rng.Uint64(), seq: w.queue.seq, gen: t.wakeGen, t: t})
 }
 
+// newThread creates thread fn as the next id. It reuses the Thread struct
+// a released world left past the end of the thread table, resetting every
+// field. The child's TLS is the parent's, forked in SetTLS order.
 func (w *World) newThread(parent *Thread, name string, fn func(*Thread)) *Thread {
 	w.nextTID++
-	t := &Thread{
-		w:    w,
-		id:   w.nextTID,
-		name: name,
-		tls:  make(map[TLSKey]any),
+	var t *Thread
+	if n := len(w.threads); n < cap(w.threads) {
+		t = w.threads[:n+1][n]
 	}
+	if t == nil {
+		t = new(Thread)
+	}
+	tls := t.tls
+	clear(tls) // keep no value of the last run alive
+	*t = Thread{w: w, id: w.nextTID, name: name, tls: tls[:0], joiners: t.joiners[:0]}
 	if parent != nil {
 		t.parent = parent.id
-		for k, v := range parent.tls {
-			if f, ok := v.(TLSForker); ok {
-				t.tls[k] = f.ForkTLS(parent, t)
-			} else {
-				t.tls[k] = v
+		for _, e := range parent.tls {
+			if f, ok := e.val.(TLSForker); ok {
+				e.val = f.ForkTLS(parent, t)
 			}
+			t.tls = append(t.tls, e)
 		}
 	}
 	w.threads = append(w.threads, t)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -308,6 +309,61 @@ func TestTLSForkerHookRuns(t *testing.T) {
 	}
 	if fc.forks != 2 {
 		t.Fatalf("ForkTLS ran %d times, want 2", fc.forks)
+	}
+}
+
+// orderedForker logs its key each time it forks, into a thread or a task.
+type orderedForker struct {
+	key string
+	log *[]string
+}
+
+type orderedTLSForker orderedForker
+
+func (f *orderedTLSForker) ForkTLS(parent, child *Thread) any {
+	*f.log = append(*f.log, f.key)
+	return f
+}
+
+type orderedTaskForker orderedForker
+
+func (f *orderedTaskForker) ForkTask(submitter *Thread, taskID int) any {
+	*f.log = append(*f.log, f.key)
+	return f
+}
+
+// TestTLSForksInSetTLSOrder: a spawn forks its TLSForker values, and a
+// submit its TaskForker values, in the order their keys were first set,
+// which is neither the keys' order nor the reverse.
+func TestTLSForksInSetTLSOrder(t *testing.T) {
+	keys := []string{"m", "z", "a", "q"}
+	for rep := 0; rep < 100; rep++ {
+		var spawned, submitted []string
+		err := NewWorld(Config{Seed: int64(rep)}).Run(func(main *Thread) {
+			for i, k := range keys {
+				if i%2 == 0 {
+					main.SetTLS(TLSKey(k), &orderedTLSForker{k, &spawned})
+				} else {
+					main.SetTLS(TLSKey(k), &orderedTaskForker{k, &submitted})
+				}
+			}
+			main.SetTLS("m", &orderedTLSForker{"m", &spawned}) // keeps its place
+			main.Join(main.Spawn("child", func(*Thread) {}))
+			pool := NewTaskPool(main, 1, "pool")
+			pool.Submit(main, "task", func(*Thread) {}).Wait(main)
+			pool.Shutdown(main)
+			pool.Join(main)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The pool's worker is a spawn too, so the TLS forkers run twice.
+		if want := []string{"m", "a", "m", "a"}; !reflect.DeepEqual(spawned, want) {
+			t.Fatalf("repeat %d: spawns forked %v, want %v", rep, spawned, want)
+		}
+		if want := []string{"z", "q"}; !reflect.DeepEqual(submitted, want) {
+			t.Fatalf("repeat %d: the submit forked %v, want %v", rep, submitted, want)
+		}
 	}
 }
 

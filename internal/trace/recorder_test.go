@@ -104,6 +104,39 @@ func TestRecorderRecordAfterFinishPanics(t *testing.T) {
 	rec.RecordEvent(Event{T: 3, TID: 1, Site: "a.go:1"})
 }
 
+// Finish hands a run that filled no full chunk its open chunk, and gathers
+// a longer one into a fresh slice; either way the trace's capacity is its
+// length, so an append to it cannot write into memory the recorder held,
+// and a Record after Finish still panics and leaves the trace as it was.
+func TestRecorderFinishCapEqualsLen(t *testing.T) {
+	for _, n := range []int{1, shardFirstEvents - 1, shardFirstEvents + 1, shardChunkEvents, shardChunkEvents + 1, 3*shardChunkEvents + 5} {
+		rec := NewRecorder("cap", 1)
+		for i := 0; i < n; i++ {
+			rec.RecordEvent(Event{T: sim.Time(i), TID: 1, Obj: ObjID(i)})
+		}
+		tr := rec.Finish(sim.Time(n))
+		if len(tr.Events) != n || cap(tr.Events) != n {
+			t.Fatalf("%d events: Finish gave len %d, cap %d", n, len(tr.Events), cap(tr.Events))
+		}
+		for i, e := range tr.Events {
+			if e.Seq != i || e.Obj != ObjID(i) {
+				t.Fatalf("%d events: event %d is %+v", n, i, e)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%d events: Record after Finish did not panic", n)
+				}
+			}()
+			rec.RecordEvent(Event{T: sim.Time(n), TID: 1, Obj: -1})
+		}()
+		if len(tr.Events) != n || tr.Events[n-1].Obj != ObjID(n-1) {
+			t.Fatalf("%d events: a Record after Finish changed the trace", n)
+		}
+	}
+}
+
 func TestRecorderFinishTwicePanics(t *testing.T) {
 	rec := NewRecorder("reuse", 1)
 	rec.Finish(1)

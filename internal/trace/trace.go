@@ -112,8 +112,9 @@ type Trace struct {
 // thread holding the baton) and already in global order, so they go into
 // a single chunked Shard: recording allocates nothing per event, never
 // re-copies the recorded history the way slice doubling does, and a short
-// run allocates only the shard's small first chunk. Finish copies the
-// shard into one slice of exactly the recorded length.
+// run allocates only the shard's small first chunk. Finish hands the open
+// chunk over as the trace when no chunk was sealed, and otherwise copies
+// the chunks into one slice of exactly the recorded length.
 type Recorder struct {
 	label string
 	seed  int64
@@ -156,17 +157,22 @@ func (r *Recorder) RecordEvent(e Event) {
 	r.shard.Append(e)
 }
 
-// Finish copies the recorded events into one Seq-ordered slice, stamps the
-// run's end time, and returns the completed trace. The recorder must not
-// be reused afterwards: a second Finish, or any Record after Finish,
-// panics.
+// Finish gathers the recorded events into one Seq-ordered slice whose
+// capacity is its length, stamps the run's end time, and returns the
+// completed trace. A run that never filled a full chunk hands its open
+// chunk over without copying. The recorder must not be reused afterwards:
+// a second Finish, or any Record after Finish, panics.
 func (r *Recorder) Finish(end sim.Time) *Trace {
 	if r.finished {
 		panic("trace: Finish called twice — a finished Recorder must not be reused")
 	}
 	r.finished = true
 	var evs []Event
-	if r.n > 0 {
+	switch {
+	case r.n == 0:
+	case len(r.shard.full) == 0:
+		evs = r.shard.cur[:r.n:r.n]
+	default:
 		evs = r.shard.AppendTo(make([]Event, 0, r.n))
 	}
 	r.shard = Shard{}

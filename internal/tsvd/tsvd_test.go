@@ -116,9 +116,7 @@ func TestTSVDExposesTSVUnderAsymmetricDelay(t *testing.T) {
 	// window lands on the root's late call at ~103ms: a TSV manifests.
 	// Symmetric delays shift both threads equally and expose nothing —
 	// the asymmetric combination arises over runs via probability decay.
-	var heap *memmodel.Heap
 	body := func(root *sim.Thread, h *memmodel.Heap) {
-		heap = h
 		dict := h.NewRef("dict")
 		w := root.Spawn("w2", func(th *sim.Thread) {
 			th.Sleep(2 * sim.Millisecond)
@@ -132,8 +130,7 @@ func TestTSVDExposesTSVUnderAsymmetricDelay(t *testing.T) {
 	tool := New(Options{})
 	exposed := false
 	for i := 0; i < 30 && !exposed; i++ {
-		runOnce(t, tool, int64(i), body)
-		exposed = len(heap.TSVs()) > 0
+		exposed = runOnce(t, tool, int64(i), body).TSVs > 0
 	}
 	if !exposed {
 		t.Fatal("no TSV manifested in 30 runs")

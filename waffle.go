@@ -121,6 +121,9 @@ type Scenario struct {
 	// Jitter is the relative spread on Work durations (default 0.05).
 	Jitter float64
 	// Body is the program: threads performing instrumented operations.
+	// Each run's world and heap are recycled once the run is over, so the
+	// body must keep none of its threads, references or synchronization
+	// primitives for a later run.
 	Body func(t *Thread, h *Heap)
 }
 
