@@ -7,8 +7,7 @@ package core_test
 import "testing"
 
 // runAllocBounds cap the allocations of one run of each of smallPrograms.
-// A warm run allocated 27 (sc) and 21 (tso) times with Go 1.24, 57 and 52
-// before runs recycled their worlds, heaps and generators. The slack
+// A warm run allocated 27 (sc) and 21 (tso) times with Go 1.24. The slack
 // covers a collection that empties the pools mid-measure.
 var runAllocBounds = map[string]float64{"sc": 36, "tso": 30}
 

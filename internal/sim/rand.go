@@ -130,7 +130,11 @@ func (r *lazySource) Int63() int64 { return int64(r.Uint64() & rngMask) }
 // rand.New(rand.NewSource(seed))'s would, for a fraction of the seeding
 // cost: the register is built as the draws reach it. The generator may be
 // one that RecycleRand or a finished world handed back.
-func NewRand(seed int64) *rand.Rand { return getRand(seed) }
+func NewRand(seed int64) *rand.Rand {
+	r := rands.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
 
 // RecycleRand hands a generator from NewRand back for the next NewRand or
 // NewWorld. The caller must not use r afterwards.
@@ -144,10 +148,3 @@ func RecycleRand(r *rand.Rand) {
 // back by RecycleRand. Reuse is safe because Seed restarts the lazy
 // build: every word is rebuilt before a draw first reads it.
 var rands = sync.Pool{New: func() any { return rand.New(new(lazySource)) }}
-
-// getRand returns a recycled generator seeded with seed.
-func getRand(seed int64) *rand.Rand {
-	r := rands.Get().(*rand.Rand)
-	r.Seed(seed)
-	return r
-}

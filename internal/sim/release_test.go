@@ -31,7 +31,7 @@ func outcomeOf(w *World, err error) outcome {
 // freshWorld is NewWorld on memory no world has used.
 func freshWorld(cfg Config) *World {
 	m := worldMems.New().(*worldMem)
-	return &World{cfg: cfg, rng: getRand(cfg.Seed), toRun: m.toRun, mem: m}
+	return &World{cfg: cfg, rng: NewRand(cfg.Seed), toRun: m.toRun, mem: m}
 }
 
 // dirtyWorld runs a world that leaves behind everything reuse must scrub:

@@ -94,8 +94,7 @@ type World struct {
 	// then once per thread killAll unwinds.
 	toRun chan struct{}
 
-	mem  *worldMem // where Release puts the memory back; nil once released
-	done bool      // Run has returned
+	mem *worldMem // where Release puts the memory back; nil once released
 }
 
 // worldMem is the memory a released world leaves to the next one: its
@@ -121,7 +120,7 @@ func NewWorld(cfg Config) *World {
 	m := worldMems.Get().(*worldMem)
 	return &World{
 		cfg:     cfg,
-		rng:     getRand(cfg.Seed),
+		rng:     NewRand(cfg.Seed),
 		threads: m.threads,
 		queue:   eventQueue{items: m.items},
 		toRun:   m.toRun,
@@ -135,7 +134,7 @@ func NewWorld(cfg Config) *World {
 // The Fault and errors Run returned stay valid. Release panics before Run
 // has returned and when called twice.
 func (w *World) Release() {
-	if !w.done {
+	if w.rng != nil { // Run drops the generator as it returns
 		panic("sim: World.Release before Run returned")
 	}
 	m := w.mem
@@ -196,9 +195,8 @@ func (w *World) Run(main func(*Thread)) error {
 		<-w.toRun
 	}
 	w.killAll()
-	rands.Put(w.rng)
+	RecycleRand(w.rng)
 	w.rng = nil
-	w.done = true
 	return w.err
 }
 
